@@ -60,7 +60,7 @@ fn bench_laziness(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_lowering(c: &mut Criterion) {
+fn bench_compilation(c: &mut Criterion) {
     let bst = Bst::new();
     let mut rng = SmallRng::seed_from_u64(33);
     let trees: Vec<Value> = (0..64)
@@ -72,8 +72,8 @@ fn bench_lowering(c: &mut Criterion) {
         .collect();
     let lib = bst.library().clone();
     let rel = bst.relation();
-    let mut group = c.benchmark_group("ablation/lowering");
-    group.bench_function("lowered_closures", |b| {
+    let mut group = c.benchmark_group("ablation/compilation");
+    group.bench_function("bytecode_vm", |b| {
         b.iter(|| {
             for a in &args {
                 std::hint::black_box(lib.check(rel, 64, 64, a));
@@ -93,6 +93,6 @@ fn bench_lowering(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(15);
-    targets = bench_locality, bench_laziness, bench_lowering
+    targets = bench_locality, bench_laziness, bench_compilation
 }
 criterion_main!(benches);

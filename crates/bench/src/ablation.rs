@@ -9,11 +9,9 @@
 //!    into a checker (`bind_ec`) stops at the first witness. We measure
 //!    time-to-first-witness vs time-to-all-witnesses on a constrained
 //!    query with many solutions (`le ?n 10`).
-//! 3. **Closure lowering vs plan interpretation**: derived checkers
-//!    execute as closure trees by default, with the step interpreter
-//!    kept as baseline. Measured finding: the two are within noise of
-//!    each other — the executor's cost is term traversal and
-//!    allocation, not step dispatch.
+//! 3. **Bytecode compilation vs plan interpretation**: derived checkers
+//!    execute on the bytecode VM by default, with the step interpreter
+//!    kept as reference and baseline.
 //! 4. **Produce-and-match vs check for known recursive premises**
 //!    (`DeriveOptions::check_known_recursive`): exercised as a unit
 //!    test — switching the strategy must not change checker verdicts.
@@ -60,18 +58,18 @@ pub fn backtracking_locality(budget: Duration) -> Locality {
     }
 }
 
-/// Result of the lowering ablation.
+/// Result of the compilation ablation.
 #[derive(Clone, Copy, Debug)]
-pub struct Lowering {
-    /// Checks per second through the lowered closures (default).
-    pub lowered_cps: f64,
+pub struct Compilation {
+    /// Checks per second through the bytecode VM (default).
+    pub compiled_cps: f64,
     /// Checks per second through the step interpreter (baseline).
     pub interpreted_cps: f64,
 }
 
-/// Measures closure lowering against plan interpretation on the
+/// Measures bytecode compilation against plan interpretation on the
 /// derived BST checker.
-pub fn lowering(budget: Duration) -> Lowering {
+pub fn compilation(budget: Duration) -> Compilation {
     let bst = Bst::new();
     let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(33);
     let trees: Vec<Value> = (0..64)
@@ -99,8 +97,8 @@ pub fn lowering(budget: Duration) -> Lowering {
         }
         n as f64 / start.elapsed().as_secs_f64()
     };
-    Lowering {
-        lowered_cps: measure(false),
+    Compilation {
+        compiled_cps: measure(false),
         interpreted_cps: measure(true),
     }
 }
@@ -172,14 +170,14 @@ mod tests {
     }
 
     #[test]
-    fn lowering_agrees_and_is_competitive() {
-        let l = lowering(Duration::from_millis(40));
+    fn compilation_is_competitive() {
+        let c = compilation(Duration::from_millis(40));
         // Same verdicts are asserted in indrel-core's tests; here we
-        // pin the performance claim: lowering is at least not a big
-        // regression over interpretation.
+        // pin the performance claim: compiled execution is at least
+        // not a big regression over interpretation.
         assert!(
-            l.lowered_cps > l.interpreted_cps * 0.5,
-            "lowered execution regressed badly: {l:?}"
+            c.compiled_cps > c.interpreted_cps * 0.5,
+            "compiled execution regressed badly: {c:?}"
         );
     }
 

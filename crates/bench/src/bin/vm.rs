@@ -1,4 +1,4 @@
-//! Compiled-backend comparison: handwritten vs derived-on-closures vs
+//! Compiled-backend comparison: handwritten vs derived-interpreted vs
 //! derived-on-VM checker throughput on the Figure 3 workloads.
 //!
 //! ```text
@@ -7,7 +7,7 @@
 //! ```
 //!
 //! `--json` writes the comparison as one machine-readable document
-//! (schema `indrel.bench.vm/1`, default path `BENCH_vm.json`).
+//! (schema `indrel.bench.vm/2`, default path `BENCH_vm.json`).
 //!
 //! Environment: `VM_BUDGET_MS` (wall-clock budget per throughput run,
 //! default 1500).
@@ -40,7 +40,7 @@ fn main() {
         return;
     }
     println!("Compiled backend: tests/second, checker workloads of Figure 3");
-    println!("(ratios are vs handwritten; speedup is VM vs closure tree)");
+    println!("(ratios are vs handwritten; speedup is VM vs interpreter)");
     for r in indrel_bench::vm::checkers(budget) {
         println!("  {r}");
     }

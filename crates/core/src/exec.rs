@@ -33,8 +33,10 @@
 
 use crate::error::{ExecError, InstanceKind};
 use crate::library::{CheckerImpl, Library, ProducerImpl};
+use crate::memo::{Lookup, MIN_SEARCH_COST};
 use crate::mode::Mode;
 use crate::plan::{Plan, Step};
+use crate::vm::VmProgram;
 use indrel_producers::probe::{Event, ExecKind, FailSite};
 use indrel_producers::{
     backtracking, backtracking_metered, bind_ce, bind_ec, cnot, enumerating, Budget, EStream,
@@ -81,16 +83,20 @@ impl Library {
                 let _depth = self.probe_enter(rel, ExecKind::Checker);
                 f(size, top_size, args)
             }
-            // The lowered executor emits its own Enter (it knows its
-            // relation), so no event here.
-            CheckerImpl::Plan(_, lowered) => self.run_lowered_check(lowered, size, top_size, args),
+            // The derived executors emit their own Enter (they know
+            // their relation), so no event here.
+            CheckerImpl::Plan(plan, vm) => {
+                self.run_derived_check(plan, vm.as_deref(), size, top_size, args)
+            }
         }
     }
 
-    /// Runs the checker for `rel` through the *interpreted* plan
-    /// executor instead of the default lowered closures — the ablation
-    /// baseline for the lowering decision (DESIGN.md). Verdicts are
-    /// identical; only the execution strategy differs.
+    /// Runs the checker for `rel` through the plan *interpreter* instead
+    /// of the bytecode VM — the reference the differential oracles
+    /// compare the VM against, and the baseline for the compilation
+    /// decision (DESIGN.md). Verdicts are identical; only the execution
+    /// strategy differs. The interpreter is unindexed and unmemoized;
+    /// external premises it calls run through [`Library::check`].
     ///
     /// # Panics
     ///
@@ -102,23 +108,29 @@ impl Library {
         top_size: u64,
         args: &[Value],
     ) -> Option<bool> {
-        match self.require_checker(rel).unwrap_or_else(|e| panic!("{e}")) {
-            CheckerImpl::Hand(f) => {
-                if !self.charge_step() {
-                    return None;
-                }
-                let _depth = self.probe_enter(rel, ExecKind::Checker);
-                f(size, top_size, args)
-            }
+        let imp = self.require_checker(rel).unwrap_or_else(|e| panic!("{e}"));
+        self.run_interpreted(rel, imp, size, top_size, args)
+    }
+
+    fn run_interpreted(
+        &self,
+        rel: RelId,
+        imp: &CheckerImpl,
+        size: u64,
+        top_size: u64,
+        args: &[Value],
+    ) -> Option<bool> {
+        match imp {
+            CheckerImpl::Hand(_) => self.run_checker_impl(rel, imp, size, top_size, args),
             CheckerImpl::Plan(plan, _) => self.run_plan_check(plan, size, top_size, args),
         }
     }
 
     /// Runs the checker for `rel` through *both* execution strategies
-    /// and returns `(lowered, interpreted)` — the differential hook
+    /// and returns `(compiled, interpreted)` — the differential hook
     /// behind the fuzzer's executor-equivalence oracle. The two
     /// verdicts must agree for every well-formed relation; a mismatch
-    /// is a bug in the lowering (or the interpreter).
+    /// is a bug in the bytecode compiler or VM (or the interpreter).
     ///
     /// # Panics
     ///
@@ -428,16 +440,51 @@ impl Library {
         args: &[Value],
         budget: Budget,
     ) -> Result<Option<bool>, ExecError> {
+        self.try_check_with(rel, args, budget, |imp| {
+            self.run_checker_impl(rel, imp, size, top_size, args)
+        })
+    }
+
+    /// [`Library::check_interpreted`] under a budget, with the
+    /// validation and error reporting of [`Library::try_check`] — the
+    /// budgeted reference the `interp_vs_compiled` oracle compares the
+    /// VM against.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Library::try_check`].
+    pub fn try_check_interpreted(
+        &self,
+        rel: RelId,
+        size: u64,
+        top_size: u64,
+        args: &[Value],
+        budget: Budget,
+    ) -> Result<Option<bool>, ExecError> {
+        self.try_check_with(rel, args, budget, |imp| {
+            self.run_interpreted(rel, imp, size, top_size, args)
+        })
+    }
+
+    /// The shared body of the budgeted checker entry points: validates
+    /// the instance and arity, then runs `run` under `budget`.
+    fn try_check_with(
+        &self,
+        rel: RelId,
+        args: &[Value],
+        budget: Budget,
+        run: impl FnOnce(&CheckerImpl) -> Option<bool>,
+    ) -> Result<Option<bool>, ExecError> {
         let imp = self.require_checker(rel)?;
         self.require_count(rel, self.inner.env.relation(rel).arity(), args.len())?;
         if budget.is_unlimited() {
-            return Ok(self.run_checker_impl(rel, imp, size, top_size, args));
+            return Ok(run(imp));
         }
         let meter = Meter::new(budget);
         admit_terms(&meter, args)?;
         let result = {
             let _armed = self.arm_meter(meter.clone());
-            self.run_checker_impl(rel, imp, size, top_size, args)
+            run(imp)
         };
         match meter.exhaustion() {
             Some(e) => Err(e.into()),
@@ -646,9 +693,155 @@ impl Library {
     }
 
     // ------------------------------------------------------------------
-    // Checker execution
+    // Derived checker entry boundary
     // ------------------------------------------------------------------
 
+    /// Runs a derived checker at an *entry boundary* — a top-level
+    /// [`Library::check`] or an external `CheckRel` premise — with the
+    /// budget charge and the memo tables consulted on the way in, then
+    /// switches to the backend: the bytecode VM when the plan compiled
+    /// (`vm` is `Some`), the plan interpreter otherwise. Placing the
+    /// switch below this boundary is what makes tabling, the shared
+    /// serving table, and the `try_*` budgets behave the same on both.
+    ///
+    /// Recursive self-calls skip the tables (`RecSelf` in the VM,
+    /// [`Library::run_plan_check`] in the interpreter): they descend
+    /// into strict subterms of a tuple that already missed here, so
+    /// per-level lookups would tax every recursion of a miss-heavy
+    /// workload for reuse that entry-level hits capture anyway
+    /// (measured: per-level tabling cost 3–5× overhead on
+    /// distinct-input sweeps and bought no additional hits).
+    pub(crate) fn run_derived_check(
+        &self,
+        plan: &Arc<Plan>,
+        vm: Option<&VmProgram>,
+        size: u64,
+        top: u64,
+        args: &[Value],
+    ) -> Option<bool> {
+        // Budget charge: one step per checker recursion, one backtrack
+        // per abandoned handler (no-ops when no meter is armed). A memo
+        // hit still pays this step — the table accelerates the search,
+        // it does not make work free.
+        if !self.charge_step() {
+            return None;
+        }
+        // Serving sessions consult the process-wide concurrent table
+        // (crate::serve) first: monotone verdicts cached by any session
+        // over the same frozen core answer this one too. Ordinary
+        // sessions pay one `RefCell` borrow + `Option` check here.
+        let shared = self.inner.shared_memo.borrow().clone();
+        let Some(sm) = shared else {
+            return self.memo_or_search(plan, vm, size, top, args);
+        };
+        let rel = plan.rel;
+        // The fingerprint comes from this session's interner —
+        // structural, so identical across sessions — and doubles as the
+        // shard key.
+        let fp = self.inner.memo.borrow_mut().query_fp(rel, args);
+        if let Some(verdict) = sm.lookup(rel, fp, args, size, top) {
+            self.inner.shared_hits.set(self.inner.shared_hits.get() + 1);
+            self.probe(|| Event::MemoHit { rel });
+            return Some(verdict);
+        }
+        self.inner
+            .shared_misses
+            .set(self.inner.shared_misses.get() + 1);
+        self.probe(|| Event::MemoMiss { rel });
+        let calls_before = self.inner.search_calls.get();
+        let result = self.memo_or_search(plan, vm, size, top, args);
+        self.memo_write(
+            result,
+            calls_before,
+            |verdict| sm.insert(rel, fp, args, size, top, verdict),
+            || sm.note_none_skipped(),
+        );
+        result
+    }
+
+    /// The local-table half of an entry boundary: the session memo
+    /// lookup (when enabled) wrapped around the search. Split from
+    /// [`Library::run_derived_check`] so serving sessions can layer the
+    /// concurrent table on top.
+    fn memo_or_search(
+        &self,
+        plan: &Arc<Plan>,
+        vm: Option<&VmProgram>,
+        size: u64,
+        top: u64,
+        args: &[Value],
+    ) -> Option<bool> {
+        let search = || match vm {
+            Some(prog) => self.run_vm_search(prog, size, top, args),
+            None => self.plan_search(plan, size, top, args),
+        };
+        if !self.inner.memo_enabled.get() {
+            return search();
+        }
+        // Tabling (crate::memo): decided verdicts are monotone in both
+        // fuels, so an entry decided at dominated fuels answers this
+        // call outright. The borrow must end before the search below —
+        // recursive calls re-enter this table.
+        let rel = plan.rel;
+        let lookup = self.inner.memo.borrow_mut().lookup(rel, args, size, top);
+        let fp = match lookup {
+            Lookup::Hit(verdict) => {
+                self.probe(|| Event::MemoHit { rel });
+                return Some(verdict);
+            }
+            Lookup::Miss(fp) => {
+                self.probe(|| Event::MemoMiss { rel });
+                fp
+            }
+        };
+        let calls_before = self.inner.search_calls.get();
+        let result = search();
+        let memo = &self.inner.memo;
+        self.memo_write(
+            result,
+            calls_before,
+            |verdict| memo.borrow_mut().insert(rel, fp, args, size, top, verdict),
+            || memo.borrow_mut().note_none_skipped(),
+        );
+        result
+    }
+
+    /// The write guard both verdict tables share, applied to the
+    /// `result` of a search that started when `search_calls` read
+    /// `calls_before`. A decided verdict is handed to `insert` only when
+    /// the search cost at least [`MIN_SEARCH_COST`] recursions (leaf
+    /// goals re-derive faster than a table answers them) and no armed
+    /// meter is exhausted (past that point inner searches return early
+    /// and verdicts can be fabricated — the `try_*` entry points mask
+    /// them with an error; exhaustion is sticky, so checking now covers
+    /// the whole search). `None` is not a verdict — a larger fuel may
+    /// still decide it — so it is never cached, only counted through
+    /// `note_none`.
+    fn memo_write(
+        &self,
+        result: Option<bool>,
+        calls_before: u64,
+        insert: impl FnOnce(bool),
+        note_none: impl FnOnce(),
+    ) {
+        match result {
+            Some(verdict) => {
+                let cost = self.inner.search_calls.get() - calls_before;
+                if cost >= MIN_SEARCH_COST && self.meter_intact() {
+                    insert(verdict);
+                }
+            }
+            None => note_none(),
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Checker interpretation
+    // ------------------------------------------------------------------
+
+    /// Interprets a checker plan: one budget step, then
+    /// [`Library::plan_search`]. The entry of [`Library::check_interpreted`]
+    /// and of every interpreted recursive call.
     pub(crate) fn run_plan_check(
         &self,
         plan: &Arc<Plan>,
@@ -659,6 +852,16 @@ impl Library {
         if !self.charge_step() {
             return None;
         }
+        self.plan_search(plan, size, top, args)
+    }
+
+    /// The interpreter's search body, without the budget entry charge:
+    /// unindexed rule dispatch and the fuel discipline.
+    fn plan_search(&self, plan: &Arc<Plan>, size: u64, top: u64, args: &[Value]) -> Option<bool> {
+        // Feeds the memo layer's cost gate; one `Cell` bump.
+        self.inner
+            .search_calls
+            .set(self.inner.search_calls.get() + 1);
         let _depth = self.probe_enter(plan.rel, ExecKind::Checker);
         if size == 0 {
             let base = plan
@@ -685,8 +888,8 @@ impl Library {
     }
 
     /// [`Library::handler_check`] bracketed with rule attempt /
-    /// success / backtrack events (mirroring the lowered executor's
-    /// emission points, so both strategies report the same search).
+    /// success / backtrack events (the VM's emission points, so both
+    /// strategies report the same rule successes).
     fn probed_handler_check(
         &self,
         plan: &Arc<Plan>,
@@ -1369,7 +1572,7 @@ impl Iterator for BudgetedStream {
 // uninstantiated expression here is a derivation bug, and demoting it
 // to a structured runtime error would let a miscompiled plan disagree
 // silently instead of failing loudly. The same reasoning covers the
-// mirrored expects in `lower.rs` and the `RecCheck` unreachables
+// VM's "plan invariant" panics and the `RecCheck` unreachables
 // (recursive-check steps are only emitted into checker plans).
 fn eval(e: &TermExpr, env: &Env, lib: &Library) -> Value {
     e.eval(env, &lib.inner.universe)

@@ -1,4 +1,4 @@
-//! Constructor-indexed rule dispatch for lowered checkers.
+//! Constructor-indexed rule dispatch for compiled checkers.
 //!
 //! The `compatible` analysis of §4 already decides, per rule, which
 //! shapes of scrutinee can possibly unify with the conclusion's input
@@ -119,21 +119,12 @@ impl DispatchIndex {
         Some(idx)
     }
 
-    /// The candidate handlers for a call with these arguments, in
-    /// ascending handler order. Slices borrow from the index; callers
-    /// compute `skipped` as `total() - candidates.len()`.
-    pub(crate) fn candidates(&self, args: &[Value]) -> &[u32] {
-        self.bucket(&args[self.pos])
-    }
-
-    /// `candidates` for callers holding arguments by reference (the
-    /// bytecode VM's calling convention).
-    pub(crate) fn candidates_ref(&self, args: &[&Value]) -> &[u32] {
-        self.bucket(args[self.pos])
-    }
-
-    fn bucket(&self, scrutinee: &Value) -> &[u32] {
-        match scrutinee {
+    /// The candidate handlers for a call with these arguments (held by
+    /// reference, the bytecode VM's calling convention), in ascending
+    /// handler order. Slices borrow from the index; callers compute
+    /// `skipped` as `total() - candidates.len()`.
+    pub(crate) fn candidates(&self, args: &[&Value]) -> &[u32] {
+        match args[self.pos] {
             Value::Nat(0) => &self.nat_zero,
             Value::Nat(_) => &self.nat_pos,
             Value::Bool(true) => &self.bool_true,
@@ -181,12 +172,12 @@ mod tests {
         let idx = DispatchIndex::build(&refs).expect("rigid position exists");
         assert_eq!(idx.total(), 4);
         let a = Value::ctor(c(0), vec![Value::nat(1)]);
-        assert_eq!(idx.candidates(&[a, Value::nat(0)]), &[0, 2, 3]);
+        assert_eq!(idx.candidates(&[&a, &Value::nat(0)]), &[0, 2, 3]);
         let b = Value::ctor(c(1), vec![]);
-        assert_eq!(idx.candidates(&[b, Value::nat(0)]), &[1, 2]);
+        assert_eq!(idx.candidates(&[&b, &Value::nat(0)]), &[1, 2]);
         // A constructor no rule demands: only the flexible rule.
         let other = Value::ctor(c(9), vec![]);
-        assert_eq!(idx.candidates(&[other, Value::nat(0)]), &[2]);
+        assert_eq!(idx.candidates(&[&other, &Value::nat(0)]), &[2]);
     }
 
     #[test]
@@ -198,9 +189,9 @@ mod tests {
         ];
         let refs: Vec<&[Pattern]> = rows.iter().map(Vec::as_slice).collect();
         let idx = DispatchIndex::build(&refs).unwrap();
-        assert_eq!(idx.candidates(&[Value::nat(0)]), &[0]);
-        assert_eq!(idx.candidates(&[Value::nat(3)]), &[1, 2]);
-        assert_eq!(idx.candidates(&[Value::nat(7)]), &[1, 2]);
+        assert_eq!(idx.candidates(&[&Value::nat(0)]), &[0]);
+        assert_eq!(idx.candidates(&[&Value::nat(3)]), &[1, 2]);
+        assert_eq!(idx.candidates(&[&Value::nat(7)]), &[1, 2]);
     }
 
     #[test]
@@ -219,8 +210,8 @@ mod tests {
         ];
         let refs: Vec<&[Pattern]> = rows.iter().map(Vec::as_slice).collect();
         let idx = DispatchIndex::build(&refs).unwrap();
-        assert_eq!(idx.candidates(&[Value::nat(9), Value::bool(true)]), &[0]);
-        assert_eq!(idx.candidates(&[Value::nat(9), Value::bool(false)]), &[1]);
+        assert_eq!(idx.candidates(&[&Value::nat(9), &Value::bool(true)]), &[0]);
+        assert_eq!(idx.candidates(&[&Value::nat(9), &Value::bool(false)]), &[1]);
     }
 
     #[test]

@@ -72,7 +72,6 @@ pub mod error;
 pub mod exec;
 pub(crate) mod index;
 pub mod library;
-pub(crate) mod lower;
 pub mod memo;
 pub mod mode;
 pub mod plan;

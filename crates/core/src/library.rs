@@ -41,10 +41,11 @@ pub type HandGenFn =
 #[derive(Clone)]
 pub(crate) enum CheckerImpl {
     Hand(HandCheckFn),
-    /// A derived checker: the plan (for inspection and the interpreted
-    /// ablation baseline) plus its closure-lowered form (the default
-    /// execution strategy).
-    Plan(Arc<Plan>, Arc<crate::lower::LoweredChecker>),
+    /// A derived checker: the plan (for inspection, and run by the
+    /// interpreter, the reference) plus its bytecode program, which
+    /// every session executes — `None` when the plan did not compile,
+    /// in which case the interpreter runs it.
+    Plan(Arc<Plan>, Option<Arc<crate::vm::VmProgram>>),
 }
 
 #[derive(Clone, Default)]
@@ -108,23 +109,17 @@ pub(crate) struct Inner {
     /// The session's verdict table (tabling, [`crate::memo`]). Present
     /// but inert until [`Library::with_memo`] flips `memo_enabled`.
     pub(crate) memo: std::cell::RefCell<crate::memo::MemoTable>,
-    /// Mirror flag, like `probe_armed`: the lowered checker consults it
+    /// Mirror flag, like `probe_armed`: a derived checker consults it
     /// on every entry, so the disabled cost is one `Cell` load.
     pub(crate) memo_enabled: std::cell::Cell<bool>,
-    /// Bytecode routing flag ([`Library::with_vm`]): when set, derived
-    /// checkers whose plan compiled to a [`crate::vm::VmProgram`] run
-    /// through the register VM instead of the closure tree. Same
-    /// session-state discipline as `memo_enabled`: clones share it,
-    /// [`Library::fork`] resets it.
-    pub(crate) vm_enabled: std::cell::Cell<bool>,
-    /// Monotone count of lowered checker searches this session; the
+    /// Monotone count of derived checker searches this session; the
     /// delta across one search is the memo layer's cost gate (a verdict
     /// that cost fewer than [`crate::memo::MIN_SEARCH_COST`] recursions
     /// is not worth caching).
     pub(crate) search_calls: std::cell::Cell<u64>,
     /// The process-wide concurrent verdict table ([`crate::serve`]),
-    /// when this session serves requests through one. Consulted by the
-    /// lowered checker at the same entry boundaries as the local table;
+    /// when this session serves requests through one. Consulted by
+    /// derived checkers at the same entry boundaries as the local table;
     /// `None` (one `RefCell` borrow + `Option` check per entry) for
     /// ordinary sessions.
     pub(crate) shared_memo: std::cell::RefCell<Option<Arc<crate::serve::SharedMemo>>>,
@@ -154,7 +149,6 @@ impl Inner {
             depth: std::cell::Cell::new(0),
             memo: std::cell::RefCell::new(crate::memo::MemoTable::default()),
             memo_enabled: std::cell::Cell::new(false),
-            vm_enabled: std::cell::Cell::new(false),
             search_calls: std::cell::Cell::new(0),
             shared_memo: std::cell::RefCell::new(None),
             shared_hits: std::cell::Cell::new(0),
@@ -340,9 +334,9 @@ impl LibraryBuilder {
                     self,
                 )
                 .map(|plan| {
-                    let lowered = Arc::new(crate::lower::lower_checker(&plan));
+                    let vm = crate::vm::compile_vm(&plan).map(Arc::new);
                     self.checkers
-                        .insert(*rel, CheckerImpl::Plan(Arc::new(plan), lowered));
+                        .insert(*rel, CheckerImpl::Plan(Arc::new(plan), vm));
                 })
             }
             Key::Producer(rel, mode) => compile_plan(
@@ -413,7 +407,7 @@ pub struct ReplanReport {
     /// static order was already optimal).
     pub unchanged: Vec<RelId>,
     /// Derived relations with no observed divergence; their compiled
-    /// plans (and lowered/bytecode forms) were reused as-is.
+    /// plans (and bytecode programs) were reused as-is.
     pub kept: Vec<RelId>,
     /// Relations whose profile-guided recompile failed; the old plan
     /// was kept so the library keeps serving, and the error recorded.
@@ -462,7 +456,7 @@ impl std::fmt::Debug for Library {
 }
 
 /// A `Send + Sync` handle on a library's frozen core, for parallel
-/// test runs: derived plans, lowered checkers, and handwritten
+/// test runs: derived plans, bytecode programs, and handwritten
 /// instances are shared (never re-derived), while each worker gets its
 /// own single-threaded session state — scratch pools, armed meter,
 /// armed probe — by calling [`SharedLibrary::fork`].
@@ -510,7 +504,7 @@ impl std::fmt::Debug for SharedLibrary {
 impl SharedLibrary {
     /// A fresh [`Library`] session over the shared core, with its own
     /// scratch pools and (unarmed) meter and probe. O(1) — nothing is
-    /// re-derived or re-lowered.
+    /// re-derived or recompiled.
     pub fn fork(&self) -> Library {
         Library {
             inner: Rc::new(Inner::fresh(Arc::clone(&self.shared))),
@@ -641,46 +635,25 @@ impl Library {
         self
     }
 
-    /// Enables the compiled bytecode backend (`vm.rs`) on this
-    /// session and returns it, for chaining: derived checkers whose
-    /// plan compiled run through the register VM's dispatch loop
-    /// instead of the closure tree, with identical verdicts, budget
-    /// charges, and probe events (the `interp_vs_compiled` fuzz oracle
-    /// and `tests/vm_parity.rs` hold the backend to that contract).
-    /// Relations whose plan did not compile — see the compilability
-    /// rules in DESIGN.md § "Bytecode VM" — keep using the closure
-    /// tree, per relation, with no API difference.
-    ///
-    /// The flag is session state, like [`Library::with_memo`]: clones
-    /// of this `Library` share it, [`Library::fork`] starts with it off
-    /// again. It composes with tabling and the shared serving table —
-    /// the memo layers sit above the backend switch.
-    ///
-    /// # Example
-    ///
-    /// ```ignore
-    /// let lib = builder.build().with_vm();
-    /// lib.check(rel, fuel, fuel, &args); // compiled dispatch loop
-    /// ```
+    /// Returns the session unchanged. Every session runs derived
+    /// checkers on the bytecode VM (see [`Library::vm_compiled`]); this
+    /// no-op is kept so callers written when the VM was opt-in still
+    /// build.
     pub fn with_vm(self) -> Library {
-        self.inner.vm_enabled.set(true);
         self
     }
 
-    /// `true` when the compiled bytecode backend is enabled on this
-    /// session.
-    pub fn vm_enabled(&self) -> bool {
-        self.inner.vm_enabled.get()
-    }
-
     /// `true` when `rel` has a derived checker whose plan compiled to
-    /// bytecode — i.e. a [`Library::with_vm`] session actually runs it
-    /// on the VM rather than falling back to the closure tree.
-    /// Handwritten checkers and uncompilable plans report `false`.
+    /// bytecode, so it runs on the VM rather than falling back to the
+    /// plan interpreter. Handwritten checkers and uncompilable plans
+    /// report `false`.
     pub fn vm_compiled(&self, rel: RelId) -> bool {
         matches!(
-            self.inner.checkers.get(rel.index()).and_then(Option::as_ref),
-            Some(CheckerImpl::Plan(_, lowered)) if lowered.vm.is_some()
+            self.inner
+                .checkers
+                .get(rel.index())
+                .and_then(Option::as_ref),
+            Some(CheckerImpl::Plan(_, Some(_)))
         )
     }
 
@@ -697,8 +670,8 @@ impl Library {
 
     /// Attaches a process-wide concurrent verdict table
     /// ([`serve::SharedMemo`](crate::serve::SharedMemo)) to this
-    /// session and returns it, for chaining. The lowered checker
-    /// consults the shared table at the same entry boundaries as the
+    /// session and returns it, for chaining. Derived checkers consult
+    /// the shared table at the same entry boundaries as the
     /// local one (and under the same write guards); fuel monotonicity
     /// makes verdicts cached by *any* session valid for every session
     /// over the same frozen core. The caller must only attach tables
@@ -827,15 +800,15 @@ impl Library {
     /// instead of the seeds. Returns a fresh library session over the
     /// replanned core; handwritten instances, producers, and
     /// non-diverged plans are reused as-is (same `Arc`s, nothing
-    /// re-lowered).
+    /// recompiled).
     ///
     /// The replan is a **deterministic function of the stats
     /// snapshot**: byte-identical snapshots produce byte-identical
     /// plans. [`Event::Replanned`] is emitted through this session's
     /// armed probe for each relation whose plan actually changed.
     ///
-    /// The returned session starts fresh (no memo, VM off) — re-enable
-    /// per session, or use
+    /// The returned session starts fresh (no memo) — re-enable per
+    /// session, or use
     /// [`Session::replan_hot`](crate::serve::Session::replan_hot) to
     /// keep serving-layer attachments. Use
     /// [`Library::replan_from_report`] to learn what changed.
@@ -937,8 +910,8 @@ impl Library {
                 Err(e) => {
                     // Keep serving the old plan rather than losing the
                     // relation mid-flight.
-                    let lowered = Arc::new(crate::lower::lower_checker(&old_plan));
-                    b.checkers.insert(rel, CheckerImpl::Plan(old_plan, lowered));
+                    let vm = crate::vm::compile_vm(&old_plan).map(Arc::new);
+                    b.checkers.insert(rel, CheckerImpl::Plan(old_plan, vm));
                     report.errors.push((rel, e.to_string()));
                 }
             }
@@ -960,20 +933,20 @@ impl Library {
             .get(rel.index())
             .and_then(Option::as_ref)
         {
-            Some(CheckerImpl::Plan(plan, lowered)) => {
+            Some(CheckerImpl::Plan(plan, vm)) => {
                 let guided = if self.inner.shared.profile.is_some() {
                     ", profile-guided"
                 } else {
                     ""
                 };
-                let _ = writeln!(out, "checker (derived, lowered{guided}):");
+                let _ = writeln!(out, "checker (derived{guided}):");
                 let _ = writeln!(out, "{}", plan.display(u, env));
                 let _ = writeln!(out, "  static step stats: {}", plan.step_stats());
-                match &lowered.vm {
+                match vm {
                     Some(prog) => {
                         let _ = writeln!(
                             out,
-                            "  bytecode: {} instrs across {} handlers (runs under with_vm)",
+                            "  bytecode: {} instrs across {} handlers",
                             prog.code_len(),
                             prog.handlers.len()
                         );
@@ -983,7 +956,7 @@ impl Library {
                         }
                     }
                     None => {
-                        let _ = writeln!(out, "  bytecode: not compiled (closure-tree fallback)");
+                        let _ = writeln!(out, "  bytecode: not compiled (interpreter fallback)");
                     }
                 }
                 if let Some(stats) = stats {

@@ -29,13 +29,13 @@
 //!   so caching it only pays the lookup twice.
 //! * Handwritten checkers — the monotonicity argument only covers
 //!   derived plans, so [`exec`](crate::exec) consults the table from
-//!   the lowered checker path alone.
+//!   the derived checker path alone.
 //! * Recursive self-calls — the table is consulted at *entry
 //!   boundaries* only (top-level `check` and external `CheckRel`
 //!   premises). Recursion descends into strict subterms of a tuple that
 //!   already missed, so per-level lookups would charge every recursion
 //!   of a miss-heavy workload for reuse the entry-level hits already
-//!   capture across a corpus (see `run_lowered_check`).
+//!   capture across a corpus (see `run_derived_check`).
 //!
 //! The hot path is allocation-free: a lookup reduces the argument tuple
 //! to a 64-bit structural fingerprint via [`Interner::fingerprint`]

@@ -133,7 +133,7 @@ impl Default for Shard {
 /// The process-wide concurrent verdict table. See the module docs for
 /// the sharing and degradation model; see [`crate::memo`] for the
 /// monotonicity argument and the write guards (both tables enforce the
-/// same ones — the caller in `run_lowered_check` gates on search cost
+/// same ones — the caller in `run_derived_check` gates on search cost
 /// and meter intactness before calling [`SharedMemo::insert`]).
 pub struct SharedMemo {
     shards: Box<[Shard]>,
@@ -511,14 +511,6 @@ pub struct ServeConfig {
     /// Completed [`RequestSpan`]s each worker's [`FlightRecorder`] ring
     /// retains (0 disables retention; spans are still counted).
     pub flight_recorder_capacity: usize,
-    /// Route sessions through the compiled bytecode backend
-    /// ([`Library::with_vm`]) — on by default: the VM is verdict-,
-    /// budget-, and probe-identical to the closure tree (enforced by
-    /// the `interp_vs_compiled` oracle and `tests/vm_parity.rs`), and
-    /// relations whose plan did not compile fall back per relation
-    /// automatically. Set `false` to pin the closure tree, e.g. for
-    /// A/B measurements.
-    pub use_vm: bool,
 }
 
 impl Default for ServeConfig {
@@ -532,7 +524,6 @@ impl Default for ServeConfig {
             max_retries: 2,
             retry_seed: 0,
             flight_recorder_capacity: 64,
-            use_vm: true,
         }
     }
 }
@@ -788,13 +779,10 @@ impl Server {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .push(Arc::clone(&recorder));
-        let mut lib = self
+        let lib = self
             .shared
             .fork()
             .with_shared_memo(Arc::clone(&self.state.memo));
-        if self.state.config.use_vm {
-            lib = lib.with_vm();
-        }
         Session {
             lib,
             state: Arc::clone(&self.state),
@@ -946,10 +934,9 @@ impl Session {
     /// ([`Library::replan_from`]) without dropping any serving-layer
     /// attachment: the new session keeps the server's shared memo table
     /// (verdicts are fuel-monotone facts about the *relation*, so they
-    /// stay valid across plan changes) and re-applies the configured
-    /// bytecode routing — relations whose replanned plan no longer
-    /// compiles to bytecode fall back to the closure tree per relation,
-    /// exactly as a fresh [`Server::session`] would.
+    /// stay valid across plan changes). Relations whose replanned plan
+    /// no longer compiles to bytecode fall back to the interpreter per
+    /// relation, exactly as in a fresh [`Server::session`].
     ///
     /// Only this session is swapped; other sessions keep their plans
     /// until they replan. Bumps the server's `plan.*` metrics
@@ -957,11 +944,7 @@ impl Session {
     /// `plan.relations_kept`) and returns the [`ReplanReport`].
     pub fn replan_hot(&mut self, stats: &SearchStats) -> ReplanReport {
         let (lib, report) = self.lib.replan_from_report(stats);
-        let mut lib = lib.with_shared_memo(Arc::clone(&self.state.memo));
-        if self.state.config.use_vm {
-            lib = lib.with_vm();
-        }
-        self.lib = lib;
+        self.lib = lib.with_shared_memo(Arc::clone(&self.state.memo));
         let tel = &self.state.tel;
         tel.replans.inc();
         tel.relations_replanned.add(report.replanned.len() as u64);

@@ -1,25 +1,25 @@
 //! Register-based bytecode backend for derived checkers.
 //!
-//! The third execution strategy for a checker plan, after the
-//! interpreter ([`crate::exec`]) and the closure tree ([`crate::lower`]):
-//! at [`LibraryBuilder::build`] time each lowered checker is *also*
-//! compiled — when every construct is supported — into a flat array of
-//! register-machine instructions ([`VmProgram`]), and sessions that
-//! opted in via [`Library::with_vm`] execute that array in a single
-//! threaded dispatch loop instead of walking the closure tree.
+//! A derived checker's plan ([`crate::plan`]) is compiled once, at
+//! [`LibraryBuilder::build`] time, into a flat array of register-machine
+//! instructions ([`VmProgram`]), which every session executes in a
+//! single threaded dispatch loop. The plan interpreter
+//! ([`crate::exec`]) stays as the reference the differential oracles
+//! compare against, and as the per-relation fallback for plans that do
+//! not compile.
 //!
 //! The instruction set, register model, compilability rules, and the
-//! parity contract with the closure backend are documented in
-//! DESIGN.md § "Bytecode VM" — that chapter is the reference; this
-//! module is its implementation. The contract in one sentence: for
-//! every reachable input, the VM produces the same verdict, charges the
-//! same [`Budget`] sites, and emits the same probe [`Event`] sequence
-//! as the closure backend, so every differential oracle and telemetry
-//! consumer works unchanged on compiled sessions.
+//! parity contract with the interpreter are documented in DESIGN.md
+//! § "Bytecode VM" — that chapter is the reference; this module is its
+//! implementation. The contract in one sentence: for every reachable
+//! input, the VM returns the interpreter's verdict and charges the same
+//! [`Budget`] steps, so differential oracles, tabling, serving, and the
+//! `try_*` budgets work unchanged on either side of the fallback.
 //!
-//! Compilation is total over the checker plans the deriver emits today;
-//! [`compile_vm`] still returns `None` (per-relation fallback to the
-//! closure tree) on any construct outside its register discipline, so
+//! Compilation covers every checker plan the deriver emits for
+//! relations of arity at most [`MAX_PREMISE_ARITY`]; [`compile_vm`]
+//! returns `None` (per-relation fallback to the interpreter) on wider
+//! relations and on any construct outside its register discipline, so
 //! new plan features degrade to the slow path instead of breaking.
 //!
 //! # Register discipline
@@ -39,26 +39,25 @@
 //! candidate without cloning the frame — every register the suffix
 //! reads is either rewritten by the suffix on each re-run or was
 //! written before the fan-out point and never changes — where the
-//! closure backend clones its `Env` per candidate.
+//! interpreter clones its `Env` per candidate.
 //!
 //! # Two monomorphized loops
 //!
-//! The executor is compiled twice from one body (a `const PAR: bool`
-//! parameter): a *parity* loop that replays the closure backend's
-//! budget charges, probe events, and memo-gate bookkeeping exactly, and
-//! a *fast* loop with every such site compiled out, entered only when
-//! no meter, probe, memo table, or shared serving table is armed — a
-//! state in which the bookkeeping is unobservable, so the two loops
-//! are indistinguishable except in speed. See
-//! [`Library::run_vm_search`] for the entry gate.
+//! The executor is compiled twice from one body (a `const METERED:
+//! bool` parameter): a *metered* loop that charges the budget, emits
+//! probe events, and feeds the memo layer's cost gate, and a *fast*
+//! loop with every such site compiled out, entered only when no meter,
+//! probe, memo table, or shared serving table is armed — a state in
+//! which the bookkeeping is unobservable, so the two loops are
+//! indistinguishable except in speed. See [`Library::run_vm_search`]
+//! for the entry gate.
 //!
 //! [`LibraryBuilder::build`]: crate::LibraryBuilder::build
-//! [`Library::with_vm`]: crate::Library::with_vm
 //! [`Budget`]: crate::Budget
 //! [`Env`]: indrel_term::Env
 
+use crate::index::DispatchIndex;
 use crate::library::{CheckerImpl, Library};
-use crate::lower::LoweredChecker;
 use crate::mode::Mode;
 use crate::plan::{Handler, Plan, Step};
 use indrel_producers::probe::{Event, ExecKind, FailSite};
@@ -66,7 +65,7 @@ use indrel_producers::{bind_ec, cnot, Meter};
 use indrel_term::{CtorId, FunId, Pattern, RelId, TermExpr, TypeExpr, Value, VarId};
 
 /// Hard ceiling on registers per compiled handler; plans wider than
-/// this fall back to the closure tree (`u16` operands stay valid and a
+/// this fall back to the interpreter (`u16` operands stay valid and a
 /// pathological fuzz plan cannot make frames unbounded).
 const MAX_REGS: usize = 4096;
 
@@ -96,7 +95,7 @@ pub(crate) enum Src {
 
 /// Premise-arity ceiling for the stack-allocated argument-reference
 /// buffers the executor uses ([`Library::vm_exec`]); plans with wider
-/// relations fall back to the closure tree. Kept small on purpose: the
+/// relations fall back to the interpreter. Kept small on purpose: the
 /// buffers are zero-initialized per premise, and every realistic
 /// relation is far below this.
 const MAX_PREMISE_ARITY: usize = 8;
@@ -136,7 +135,7 @@ pub(crate) enum Instr {
     },
     /// `dst ← Nat(src + 1)` (saturating, like `TermExpr::eval`).
     /// Panics on a non-nat operand — the same "plan invariant"
-    /// condition the closure backend's `expect` enforces.
+    /// condition the interpreter's `expect` enforces.
     MkSucc {
         /// Source location (must hold a `Nat`).
         src: Src,
@@ -306,7 +305,7 @@ impl Instr {
 /// instruction array (input matching first, then the scheduled steps).
 pub(crate) struct VmHandler {
     /// Mirrors [`Handler::recursive`]; at fuel 0 the dispatch loop
-    /// skips recursive handlers, exactly like the closure backend.
+    /// skips recursive handlers, exactly like the interpreter.
     pub(crate) recursive: bool,
     /// Frame width: plan slots plus compiler temporaries.
     pub(crate) nregs: usize,
@@ -314,11 +313,19 @@ pub(crate) struct VmHandler {
     pub(crate) code: Box<[Instr]>,
 }
 
-/// A checker plan compiled to bytecode: one [`VmHandler`] per rule.
-/// Rule dispatch (constructor indexing, fuel discipline, backtrack
-/// charges) lives in the executor, not the program — it is shared with
-/// the closure backend byte for byte.
+/// A derived checker compiled to bytecode: one [`VmHandler`] per rule,
+/// plus what rule dispatch needs. Dispatch itself (constructor
+/// indexing, fuel discipline, backtrack charges) lives in the executor,
+/// not the program.
 pub(crate) struct VmProgram {
+    /// The relation checked.
+    pub(crate) rel: RelId,
+    /// First-argument discrimination index ([`crate::index`]); `None`
+    /// when every input pattern is flexible.
+    pub(crate) index: Option<DispatchIndex>,
+    /// Whether any handler is recursive: at fuel 0 the skipped
+    /// recursive handlers make a failed search out-of-fuel.
+    pub(crate) has_recursive: bool,
     /// One compiled handler per plan handler, same order.
     pub(crate) handlers: Vec<VmHandler>,
     /// The identity bucket `[0, 1, .., handlers.len())`, so unindexed
@@ -339,29 +346,39 @@ impl VmProgram {
 // ---------------------------------------------------------------------
 
 /// Compiles a checker plan to bytecode. Returns `None` — the signal for
-/// the per-relation closure fallback — when any handler uses a
+/// the per-relation interpreter fallback — when any handler uses a
 /// construct outside the register discipline (see the DESIGN.md
 /// compilability rules): a `ProduceRec` step (never emitted in checker
 /// plans, kept as a defensive gate), a register written twice, a read
 /// of a never-written register, a pattern that cannot match any value,
-/// or a frame wider than the register ceiling.
-pub(crate) fn compile_vm(
-    plan: &Plan,
-    index: Option<&crate::index::DispatchIndex>,
-) -> Option<VmProgram> {
+/// a frame wider than the register ceiling, or a premise wider than
+/// [`MAX_PREMISE_ARITY`].
+pub(crate) fn compile_vm(plan: &Plan) -> Option<VmProgram> {
     debug_assert!(plan.mode.is_checker());
+    let rows: Vec<&[Pattern]> = plan
+        .handlers
+        .iter()
+        .map(|h| h.input_pats.as_slice())
+        .collect();
+    let index = DispatchIndex::build(&rows);
     // Dispatch runs through the index whenever one exists, so a head
     // guard at the indexed position that merely restates the bucket's
     // head class can never fail — the compiler drops it (see
     // [`head_guard_subsumed`]).
-    let elide_pos = index.map(|ix| ix.pos());
+    let elide_pos = index.as_ref().map(DispatchIndex::pos);
     let handlers = plan
         .handlers
         .iter()
         .map(|h| compile_handler(h, elide_pos))
         .collect::<Option<Vec<_>>>()?;
     let all = (0..handlers.len() as u32).collect();
-    Some(VmProgram { handlers, all })
+    Some(VmProgram {
+        rel: plan.rel,
+        index,
+        has_recursive: plan.has_recursive_handlers(),
+        handlers,
+        all,
+    })
 }
 
 /// Per-handler compiler state: the emitted code plus the single-
@@ -370,7 +387,7 @@ pub(crate) fn compile_vm(
 /// writes it, or an *alias* (an argument position or an
 /// already-written register) when binding it required no work, in
 /// which case every read compiles to the aliased location and the
-/// `Copy` the closure backend's `Env` bind corresponds to is never
+/// `Copy` the interpreter's `Env` bind corresponds to is never
 /// emitted.
 struct Compiler {
     code: Vec<Instr>,
@@ -675,8 +692,8 @@ impl Compiler {
         let site = FailSite::Step(idx);
         match step {
             Step::EqCheck { lhs, rhs, negated } => {
-                // Same evaluation order as the closure: lhs, then rhs,
-                // then the comparison.
+                // Same evaluation order as the interpreter: lhs, then
+                // rhs, then the comparison.
                 let a = self.expr(lhs)?;
                 let b = self.expr(rhs)?;
                 self.code.push(Instr::GuardEq {
@@ -749,7 +766,7 @@ impl Compiler {
             }
             // Checker plans never contain ProduceRec; treat it as
             // uncompilable rather than unreachable so a future plan
-            // change degrades to the closure path.
+            // change degrades to the interpreter.
             Step::ProduceRec { .. } => return None,
             Step::Unconstrained { var, ty } => {
                 let dst = self.bind_var(*var)?;
@@ -912,21 +929,19 @@ impl Library {
         }
     }
 
-    /// The bytecode twin of `run_lowered_search`: same dispatch, fuel
-    /// discipline, budget charges, and probe events, with handler
-    /// bodies executed by [`Library::vm_exec`] instead of the closure
-    /// tree. Entered from `run_lowered_search` when the session has
-    /// [`Library::with_vm`] set and the relation compiled.
+    /// The search body of a compiled checker: rule dispatch, the fuel
+    /// discipline, backtrack charges, and probe events, with handler
+    /// bodies executed by [`Library::vm_exec`]. Entered below the entry
+    /// boundary (`Library::run_derived_check`), which has already
+    /// charged the entry step and consulted the memo tables.
     ///
     /// This boundary decides, once per entry, which of the two
-    /// monomorphized dispatch loops runs (the `PAR` const parameter of
-    /// [`Library::vm_search`]):
+    /// monomorphized dispatch loops runs (the `METERED` const parameter
+    /// of [`Library::vm_search`]):
     ///
-    /// * the **parity** loop — whenever a meter, probe, memo table, or
-    ///   shared serving table is armed — keeps every budget charge,
-    ///   probe event, and `search_calls` bump byte-identical to the
-    ///   closure backend (the contract the `interp_vs_compiled` oracle
-    ///   and the `vm_parity` suite pin), with the armed meter resolved
+    /// * the **metered** loop — whenever a meter, probe, memo table, or
+    ///   shared serving table is armed — charges the budget, emits probe
+    ///   events, and bumps `search_calls`, with the armed meter resolved
     ///   once here instead of one `RefCell` borrow per charge site;
     /// * the **fast** loop — when none of the four is armed — compiles
     ///   all of that bookkeeping out. Unobservable by construction:
@@ -937,7 +952,6 @@ impl Library {
     ///   arm only between top-level calls.
     pub(crate) fn run_vm_search(
         &self,
-        low: &LoweredChecker,
         prog: &VmProgram,
         size: u64,
         top: u64,
@@ -962,19 +976,17 @@ impl Library {
             && !self.inner.memo_enabled.get()
             && self.inner.shared_memo.borrow().is_none();
         let r = if fast {
-            self.vm_search::<false>(low, prog, &None, &mut frames, size, top, refs)
+            self.vm_search::<false>(prog, &None, &mut frames, size, top, refs)
         } else {
-            self.vm_search::<true>(low, prog, &meter, &mut frames, size, top, refs)
+            self.vm_search::<true>(prog, &meter, &mut frames, size, top, refs)
         };
         self.put_vm_frames(frames);
         r
     }
 
     #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn vm_search<const PAR: bool>(
+    fn vm_search<const METERED: bool>(
         &self,
-        low: &LoweredChecker,
         prog: &VmProgram,
         meter: &Option<Meter>,
         frames: &mut VmFrames,
@@ -982,29 +994,31 @@ impl Library {
         top: u64,
         args: &[&Value],
     ) -> Option<bool> {
-        // Identical bookkeeping to run_lowered_search: the memo cost
-        // gate's counter, the probe's Enter/depth pair, and the
-        // constructor-indexed dispatch with its IndexSkip event.
-        if PAR {
+        // The memo cost gate's counter, the probe's Enter/depth pair,
+        // and the constructor-indexed dispatch with its IndexSkip event.
+        // Pruned handlers would have failed their input match
+        // conclusively (`Some(false)`), so the verdict — including the
+        // `needs_fuel` bookkeeping — is identical to linear dispatch.
+        if METERED {
             self.inner
                 .search_calls
                 .set(self.inner.search_calls.get() + 1);
         }
-        let _depth = if PAR {
-            self.probe_enter(low.rel, ExecKind::Checker)
+        let _depth = if METERED {
+            self.probe_enter(prog.rel, ExecKind::Checker)
         } else {
             None
         };
         let mut needs_fuel = false;
         let size_rem = size.saturating_sub(1);
-        let candidates: &[u32] = match &low.index {
+        let candidates: &[u32] = match &prog.index {
             Some(index) => {
-                let bucket = index.candidates_ref(args);
-                if PAR {
+                let bucket = index.candidates(args);
+                if METERED {
                     let skipped = index.total() - bucket.len() as u32;
                     if skipped > 0 {
                         self.probe(|| Event::IndexSkip {
-                            rel: low.rel,
+                            rel: prog.rel,
                             skipped,
                         });
                     }
@@ -1018,9 +1032,9 @@ impl Library {
             if size == 0 && h.recursive {
                 continue;
             }
-            if PAR {
+            if METERED {
                 self.probe(|| Event::RuleAttempt {
-                    rel: low.rel,
+                    rel: prog.rel,
                     rule: i,
                 });
             }
@@ -1030,13 +1044,13 @@ impl Library {
             let r = if h.code.is_empty() {
                 Some(true)
             } else {
-                self.vm_handler::<PAR>(low, prog, h, i, meter, frames, size_rem, top, args)
+                self.vm_handler::<METERED>(prog, h, i, meter, frames, size_rem, top, args)
             };
             match r {
                 Some(true) => {
-                    if PAR {
+                    if METERED {
                         self.probe(|| Event::RuleSuccess {
-                            rel: low.rel,
+                            rel: prog.rel,
                             rule: i,
                         });
                     }
@@ -1045,9 +1059,9 @@ impl Library {
                 Some(false) => {}
                 None => needs_fuel = true,
             }
-            if PAR {
+            if METERED {
                 self.probe(|| Event::Backtrack {
-                    rel: low.rel,
+                    rel: prog.rel,
                     rule: i,
                 });
                 if !charge_backtrack_cached(meter) {
@@ -1055,7 +1069,7 @@ impl Library {
                 }
             }
         }
-        if needs_fuel || (size == 0 && low.has_recursive) {
+        if needs_fuel || (size == 0 && prog.has_recursive) {
             None
         } else {
             Some(false)
@@ -1064,9 +1078,8 @@ impl Library {
 
     #[inline]
     #[allow(clippy::too_many_arguments)]
-    fn vm_handler<const PAR: bool>(
+    fn vm_handler<const METERED: bool>(
         &self,
-        low: &LoweredChecker,
         prog: &VmProgram,
         h: &VmHandler,
         h_idx: u32,
@@ -1080,13 +1093,13 @@ impl Library {
         // frame — no take, no clear, no return to the pool.
         if h.nregs == 0 {
             let mut frame = Vec::new();
-            return self.vm_exec::<PAR>(
-                low, prog, h, h_idx, 0, &mut frame, frames, meter, size_rem, top, args,
+            return self.vm_exec::<METERED>(
+                prog, h, h_idx, 0, &mut frame, frames, meter, size_rem, top, args,
             );
         }
         let mut frame = frames.take(h.nregs);
-        let r = self.vm_exec::<PAR>(
-            low, prog, h, h_idx, 0, &mut frame, frames, meter, size_rem, top, args,
+        let r = self.vm_exec::<METERED>(
+            prog, h, h_idx, 0, &mut frame, frames, meter, size_rem, top, args,
         );
         frames.put(frame);
         r
@@ -1100,9 +1113,8 @@ impl Library {
     /// three-valued `bindEC` fold of the suffix results. Reaching the
     /// end of the code is the handler succeeding.
     #[allow(clippy::too_many_arguments)]
-    fn vm_exec<const PAR: bool>(
+    fn vm_exec<const METERED: bool>(
         &self,
-        low: &LoweredChecker,
         prog: &VmProgram,
         h: &VmHandler,
         h_idx: u32,
@@ -1142,22 +1154,22 @@ impl Library {
                 }
                 Instr::GuardNat { src, lit, site } => {
                     if read(frame, args, *src).as_nat() != Some(*lit) {
-                        return self.vm_fail::<PAR>(low.rel, h_idx, *site);
+                        return self.vm_fail::<METERED>(prog.rel, h_idx, *site);
                     }
                 }
                 Instr::GuardNatGe { src, min, site } => {
                     if read(frame, args, *src).as_nat().is_none_or(|n| n < *min) {
-                        return self.vm_fail::<PAR>(low.rel, h_idx, *site);
+                        return self.vm_fail::<METERED>(prog.rel, h_idx, *site);
                     }
                 }
                 Instr::GuardBool { src, lit, site } => {
                     if read(frame, args, *src).as_bool() != Some(*lit) {
-                        return self.vm_fail::<PAR>(low.rel, h_idx, *site);
+                        return self.vm_fail::<METERED>(prog.rel, h_idx, *site);
                     }
                 }
                 Instr::GuardSucc { src, k, dst, site } => match read(frame, args, *src).as_nat() {
                     Some(n) if n >= *k => frame[*dst as usize] = Value::Nat(n - *k),
-                    _ => return self.vm_fail::<PAR>(low.rel, h_idx, *site),
+                    _ => return self.vm_fail::<METERED>(prog.rel, h_idx, *site),
                 },
                 Instr::GuardEq {
                     a,
@@ -1168,7 +1180,7 @@ impl Library {
                     let l = read(frame, args, *a);
                     let r = read(frame, args, *b);
                     if (l == r) == *negated {
-                        return self.vm_fail::<PAR>(low.rel, h_idx, *site);
+                        return self.vm_fail::<METERED>(prog.rel, h_idx, *site);
                     }
                 }
                 Instr::Destruct {
@@ -1189,7 +1201,7 @@ impl Library {
                                 Some(fields.clone())
                             }
                         }
-                        _ => return self.vm_fail::<PAR>(low.rel, h_idx, *site),
+                        _ => return self.vm_fail::<METERED>(prog.rel, h_idx, *site),
                     };
                     if let Some(fields) = fields {
                         for (slot, v) in dsts.iter().zip(fields.iter()) {
@@ -1207,14 +1219,16 @@ impl Library {
                 } => {
                     // Arguments travel as a stack buffer of references;
                     // owned values materialize only at a boundary that
-                    // demands them (a handwritten checker, the closure
-                    // fallback, the parity loop's `check` entry).
+                    // demands them (a handwritten checker, the
+                    // interpreter fallback, the metered loop's `check`
+                    // entry).
                     let mut refs = [&DUMMY_VALUE; MAX_PREMISE_ARITY];
                     let len = fill_refs(&mut refs, frame, args, srcs);
                     let refs = &refs[..len];
-                    let r = if PAR {
-                        // Premise cost attribution, same arming gate and
-                        // call-only scope as the closure backend.
+                    let r = if METERED {
+                        // Premise cost attribution: the search-call delta
+                        // across the premise, gated on arming so the
+                        // unarmed cost is one `Cell` load per premise.
                         let mut vals = frames.take_argv();
                         vals.extend(refs.iter().map(|&v| v.clone()));
                         let calls_before =
@@ -1226,7 +1240,7 @@ impl Library {
                         if let Some(before) = calls_before {
                             let cost = self.inner.search_calls.get() - before;
                             self.probe(|| Event::Premise {
-                                rel: low.rel,
+                                rel: prog.rel,
                                 rule: h_idx,
                                 step: *step,
                                 cost,
@@ -1260,13 +1274,14 @@ impl Library {
                                     r
                                 }
                             },
-                            CheckerImpl::Plan(_, lowered) => match &lowered.vm {
-                                Some(p) => self
-                                    .vm_search::<false>(lowered, p, &None, frames, top, top, refs),
+                            CheckerImpl::Plan(plan, vm) => match vm {
+                                Some(p) => {
+                                    self.vm_search::<false>(p, &None, frames, top, top, refs)
+                                }
                                 None => {
                                     let mut vals = frames.take_argv();
                                     vals.extend(refs.iter().map(|&v| v.clone()));
-                                    let r = self.run_lowered_check(lowered, top, top, &vals);
+                                    let r = self.run_derived_check(plan, None, top, top, &vals);
                                     frames.put_argv(vals);
                                     r
                                 }
@@ -1289,21 +1304,23 @@ impl Library {
                     let mut refs = [&DUMMY_VALUE; MAX_PREMISE_ARITY];
                     let len = fill_refs(&mut refs, frame, args, srcs);
                     let refs = &refs[..len];
-                    let r = if PAR {
+                    let r = if METERED {
                         let calls_before =
                             self.probe_armed().then(|| self.inner.search_calls.get());
-                        // run_lowered_rec's discipline: one budget step,
-                        // then the search at the decremented fuel — but
+                        // One budget step per recursion, like an entry,
+                        // then the search at the decremented fuel —
                         // staying inside the VM, reusing this scratch.
+                        // Recursion skips the memo tables (see
+                        // `Library::run_derived_check`).
                         let r = if charge_step_cached(meter) {
-                            self.vm_search::<true>(low, prog, meter, frames, size_rem, top, refs)
+                            self.vm_search::<true>(prog, meter, frames, size_rem, top, refs)
                         } else {
                             None
                         };
                         if let Some(before) = calls_before {
                             let cost = self.inner.search_calls.get() - before;
                             self.probe(|| Event::Premise {
-                                rel: low.rel,
+                                rel: prog.rel,
                                 rule: h_idx,
                                 step: *step,
                                 cost,
@@ -1312,7 +1329,7 @@ impl Library {
                         }
                         r
                     } else {
-                        self.vm_search::<false>(low, prog, &None, frames, size_rem, top, refs)
+                        self.vm_search::<false>(prog, &None, frames, size_rem, top, refs)
                     };
                     match r {
                         Some(true) => {}
@@ -1325,13 +1342,13 @@ impl Library {
                 // this function's stack frame, and this function's
                 // prologue/epilogue runs once per search step.
                 Instr::ProduceExt { .. } => {
-                    return self.vm_produce_ext::<PAR>(
-                        low, prog, h, h_idx, pc, frame, frames, meter, size_rem, top, args,
+                    return self.vm_produce_ext::<METERED>(
+                        prog, h, h_idx, pc, frame, frames, meter, size_rem, top, args,
                     );
                 }
                 Instr::Unconstrained { .. } => {
-                    return self.vm_unconstrained::<PAR>(
-                        low, prog, h, h_idx, pc, frame, frames, meter, size_rem, top, args,
+                    return self.vm_unconstrained::<METERED>(
+                        prog, h, h_idx, pc, frame, frames, meter, size_rem, top, args,
                     );
                 }
             }
@@ -1343,13 +1360,13 @@ impl Library {
     /// Outlined `ProduceExt` arm of [`Library::vm_exec`]: lazy-stream
     /// premise, binding each yielded tuple into the frame and
     /// re-entering the instruction suffix, folded with `bindEC`. The
-    /// cost delta covers the premise and its continuation under the
-    /// binder, like the closure backend.
+    /// streams are lazy, so the cost delta necessarily covers the
+    /// premise *and* its continuation under the binder — the
+    /// scheduling-relevant tail cost of placing the premise here.
     #[inline(never)]
     #[allow(clippy::too_many_arguments)]
-    fn vm_produce_ext<const PAR: bool>(
+    fn vm_produce_ext<const METERED: bool>(
         &self,
-        low: &LoweredChecker,
         prog: &VmProgram,
         h: &VmHandler,
         h_idx: u32,
@@ -1373,15 +1390,14 @@ impl Library {
         };
         let mut in_vals = frames.take_argv();
         in_vals.extend(srcs.iter().map(|&s| read(frame, args, s).clone()));
-        let calls_before = (PAR && self.probe_armed()).then(|| self.inner.search_calls.get());
+        let calls_before = (METERED && self.probe_armed()).then(|| self.inner.search_calls.get());
         let stream = self.enumerate(*rel, mode, top, top, &in_vals);
         frames.put_argv(in_vals);
         let r = bind_ec(stream, |out_vals| {
             for (&o, v) in outs.iter().zip(out_vals) {
                 frame[o as usize] = v;
             }
-            self.vm_exec::<PAR>(
-                low,
+            self.vm_exec::<METERED>(
                 prog,
                 h,
                 h_idx,
@@ -1397,7 +1413,7 @@ impl Library {
         if let Some(before) = calls_before {
             let cost = self.inner.search_calls.get() - before;
             self.probe(|| Event::Premise {
-                rel: low.rel,
+                rel: prog.rel,
                 rule: h_idx,
                 step: *step,
                 cost,
@@ -1412,9 +1428,8 @@ impl Library {
     /// (a conclusive yes short-circuits), the truncation marker last.
     #[inline(never)]
     #[allow(clippy::too_many_arguments)]
-    fn vm_unconstrained<const PAR: bool>(
+    fn vm_unconstrained<const METERED: bool>(
         &self,
-        low: &LoweredChecker,
         prog: &VmProgram,
         h: &VmHandler,
         h_idx: u32,
@@ -1431,13 +1446,12 @@ impl Library {
         };
         let candidates = self.raw_values(ty, top);
         let truncated = self.raw_truncated(ty, top);
-        let calls_before = (PAR && self.probe_armed()).then(|| self.inner.search_calls.get());
+        let calls_before = (METERED && self.probe_armed()).then(|| self.inner.search_calls.get());
         let mut needs_fuel = false;
         let mut found = false;
         for i in 0..candidates.len() {
             frame[*dst as usize] = candidates[i].clone();
-            match self.vm_exec::<PAR>(
-                low,
+            match self.vm_exec::<METERED>(
                 prog,
                 h,
                 h_idx,
@@ -1467,7 +1481,7 @@ impl Library {
         if let Some(before) = calls_before {
             let cost = self.inner.search_calls.get() - before;
             self.probe(|| Event::Premise {
-                rel: low.rel,
+                rel: prog.rel,
                 rule: h_idx,
                 step: *step,
                 cost,
@@ -1478,8 +1492,8 @@ impl Library {
     }
 
     #[inline]
-    fn vm_fail<const PAR: bool>(&self, rel: RelId, rule: u32, site: FailSite) -> Option<bool> {
-        if PAR {
+    fn vm_fail<const METERED: bool>(&self, rel: RelId, rule: u32, site: FailSite) -> Option<bool> {
+        if METERED {
             self.probe(|| Event::UnifyFail { rel, rule, site });
         }
         Some(false)
@@ -1535,17 +1549,15 @@ mod tests {
     }
 
     #[test]
-    fn vm_and_closure_checkers_agree() {
+    fn vm_and_interpreted_checkers_agree() {
         let (u, env, lib, rels) = demo_lib();
-        let vm = lib.fork().with_vm();
-        assert!(vm.vm_enabled());
         for &r in &rels {
             let tys = env.relation(r).arg_types().to_vec();
             for args in indrel_term::enumerate::tuples_up_to(&u, &tys, 5) {
                 for fuel in 0..10u64 {
                     assert_eq!(
-                        vm.check(r, fuel, fuel, &args),
                         lib.check(r, fuel, fuel, &args),
+                        lib.check_interpreted(r, fuel, fuel, &args),
                         "{} {:?} fuel {}",
                         env.relation(r).name(),
                         args,
@@ -1554,14 +1566,10 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn fork_resets_vm_flag() {
-        let (_, _, lib, _) = demo_lib();
-        let vm = lib.fork().with_vm();
-        assert!(vm.vm_enabled());
-        assert!(!vm.fork().vm_enabled());
+        // `between` routes its existential through an enumerator — the
+        // `ProduceExt` path.
+        let args = [Value::nat(1), Value::nat(3)];
+        assert_eq!(lib.check(rels[1], 8, 8, &args), Some(true));
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! | oracle                     | left side              | right side                  |
 //! |----------------------------|------------------------|-----------------------------|
 //! | `parse_roundtrip`          | parsed program         | reparse of pretty-printout  |
-//! | `interp_vs_lowered`        | plan interpreter       | lowered executor            |
-//! | `interp_vs_compiled`       | bytecode-VM fork       | closure tree + interpreter  |
+//! | `interp_vs_lowered`        | plan interpreter       | bytecode VM                 |
+//! | `interp_vs_compiled`       | budgeted VM + stats    | budgeted interp + stats     |
 //! | `checker_vs_reference`     | derived checker        | `indrel-semantics` search   |
 //! | `enumerator_vs_checker`    | enumerator outcome set | checker-filtered domain     |
 //! | `probe_parity`             | probe-armed checker    | unarmed checker             |
@@ -27,7 +27,8 @@
 //! roundtrip oracle still applies.
 
 use indrel_core::{
-    Budget, ExecError, ExecProbe, Library, LibraryBuilder, Mode, SearchStats, ServeConfig, Server,
+    Budget, ExecError, ExecKind, ExecProbe, Library, LibraryBuilder, Mode, SearchStats,
+    ServeConfig, Server,
 };
 use indrel_pbt::{Parallelism, Runner, TestOutcome};
 use indrel_rel::analysis::features;
@@ -45,14 +46,14 @@ use std::fmt;
 pub enum Oracle {
     /// `parse(pretty(p))` is structurally equal to `parse(p)`.
     Roundtrip,
-    /// [`Library::check`] (lowered) agrees with the plan interpreter
-    /// verdict-for-verdict across the domain and a fuel ladder.
+    /// [`Library::check`] (the bytecode VM) agrees with the plan
+    /// interpreter verdict-for-verdict across the domain and a fuel
+    /// ladder.
     ExecutorEquivalence,
-    /// A [`Library::with_vm`] fork (register-bytecode backend) agrees
-    /// with the closure tree *as a budgeted `Result`* (same verdicts,
-    /// same budget cut-offs) and with the plan interpreter on every
-    /// decided tuple, and aggregates byte-identical [`SearchStats`] —
-    /// the probe/budget-parity contract of the compiled backend.
+    /// The bytecode VM agrees with the plan interpreter *as a budgeted
+    /// `Result`* (same verdicts, same budget cut-offs), and the two
+    /// aggregate the same [`dispatch_invariant_stats`] — the
+    /// budget-parity contract of the compiled backend.
     InterpVsCompiled,
     /// The derived checker agrees with the bounded reference proof
     /// search of `indrel-semantics` (via [`Validator::checker_case`]).
@@ -412,7 +413,7 @@ fn is_cutoff(e: &ExecError) -> bool {
     matches!(e, ExecError::BudgetExhausted { .. } | ExecError::Deadline)
 }
 
-/// Budgeted verdict probe: completes the lowered checker call within
+/// Budgeted verdict probe: completes the compiled checker call within
 /// `params.call_steps` or reports why it could not.
 fn budgeted_check(
     lib: &Library,
@@ -436,18 +437,18 @@ fn executor_equivalence(
         let (_, dom) = domain(u, env, rel, params.arg_size);
         for args in &dom {
             for fuel in [0, params.max_fuel / 2, params.max_fuel] {
-                // The budgeted probe bounds the work; the lowered and
+                // The budgeted probe bounds the work; the compiled and
                 // interpreted executors walk the same plan, so a
                 // verdict that fits the budget fits it for both.
                 let probe = match budgeted_check(lib, rel, fuel, args, params) {
                     Ok(v) => v,
                     Err(e) if is_cutoff(&e) => continue,
-                    Err(e) => return OracleOutcome::Violation(format!("lowered checker: {e}")),
+                    Err(e) => return OracleOutcome::Violation(format!("compiled checker: {e}")),
                 };
-                let (lowered, interpreted) = lib.check_both(rel, fuel, fuel, args);
-                if lowered != interpreted || lowered != probe {
+                let (compiled, interpreted) = lib.check_both(rel, fuel, fuel, args);
+                if compiled != interpreted || compiled != probe {
                     return OracleOutcome::Violation(format!(
-                        "{} at fuel {fuel} on {}: lowered {lowered:?} vs interpreted \
+                        "{} at fuel {fuel} on {}: compiled {compiled:?} vs interpreted \
                          {interpreted:?} (budgeted re-run {probe:?})",
                         env.relation(rel).name(),
                         render_args(u, args),
@@ -459,6 +460,39 @@ fn executor_equivalence(
     OracleOutcome::Pass
 }
 
+/// The part of a [`SearchStats`] aggregation that does not depend on
+/// how rules are dispatched, rendered for comparison: executor entries,
+/// memo traffic, the depth and term-size histograms, per-rule
+/// successes, and step-site unification failures. The bytecode VM and
+/// the plan interpreter running the same search agree on it. They
+/// differ by design everywhere else, because the interpreter is
+/// unindexed and emits no premise attribution: index skips, per-rule
+/// attempts and backtracks, input-site unification failures, and
+/// premise costs.
+pub fn dispatch_invariant_stats(s: &SearchStats) -> String {
+    let enters =
+        [ExecKind::Checker, ExecKind::Enumerator, ExecKind::Generator].map(|k| s.enters(k));
+    let successes: Vec<_> = s
+        .all_rule_stats()
+        .into_iter()
+        .filter(|(_, _, r)| r.successes > 0)
+        .map(|(rel, rule, r)| (rel.index(), rule, r.successes))
+        .collect();
+    let step_fails: Vec<_> = s
+        .top_fail_sites(usize::MAX)
+        .into_iter()
+        .filter(|(site, _)| !site.ends_with("[inputs]"))
+        .collect();
+    format!(
+        "enters {enters:?} memo {}/{} depth {} term_size {} successes {successes:?} \
+         step_fails {step_fails:?}",
+        s.memo_hits(),
+        s.memo_misses(),
+        s.depth_hist().to_json(),
+        s.term_size_hist().to_json(),
+    )
+}
+
 fn interp_vs_compiled(
     lib: &Library,
     u: &Universe,
@@ -466,59 +500,47 @@ fn interp_vs_compiled(
     rels: &[RelId],
     params: &OracleParams,
 ) -> OracleOutcome {
-    // One compiled session for the whole spec. Relations whose plan did
-    // not compile to bytecode run the closure tree inside this fork too
-    // — the per-relation fallback is part of the contract under test.
-    let vm = lib.fork().with_vm();
-    // Probe-free side for the interpreter baseline: the interpreter
-    // emits its own probe events, which must not leak into either
-    // backend's stats aggregation below.
-    let interp = lib.fork();
-    // Both sweeps run with a stats probe armed: the compiled backend
-    // promises byte-identical event aggregation, and `probe_parity`
-    // already guarantees arming changes nothing on the closure side.
-    let closure_stats = SearchStats::new();
-    let vm_stats = SearchStats::new();
-    let _closure_probe = lib.arm_probe(ExecProbe::stats(&closure_stats));
+    // One probe-armed session per side, so each aggregation sees only
+    // its own executor's events. Relations whose plan did not compile
+    // run the interpreter on both sides — the per-relation fallback is
+    // part of the contract under test.
+    let (vm, interp) = (lib.fork(), lib.fork());
+    let (vm_stats, interp_stats) = (SearchStats::new(), SearchStats::new());
     let _vm_probe = vm.arm_probe(ExecProbe::stats(&vm_stats));
+    let _interp_probe = interp.arm_probe(ExecProbe::stats(&interp_stats));
     for &rel in rels {
         let (_, dom) = domain(u, env, rel, params.arg_size);
         for args in &dom {
             for fuel in [0, params.max_fuel / 2, params.max_fuel] {
-                // Compared *as `Result`s*: the bytecode backend must
-                // charge the same budget sites, so cut-offs have to
-                // agree tuple-for-tuple, not just decided verdicts.
-                let closure = budgeted_check(lib, rel, fuel, args, params);
-                let compiled = budgeted_check(&vm, rel, fuel, args, params);
-                if closure != compiled {
+                // Compared *as `Result`s*: both executors charge one
+                // step per checker entry, so cut-offs have to agree
+                // tuple-for-tuple, not just decided verdicts.
+                let budget = Budget::unlimited().with_steps(params.call_steps);
+                let compiled = vm.try_check(rel, fuel, fuel, args, budget);
+                let interpreted = interp.try_check_interpreted(rel, fuel, fuel, args, budget);
+                if compiled != interpreted {
                     return OracleOutcome::Violation(format!(
-                        "{} at fuel {fuel} on {}: closure {closure:?} vs compiled {compiled:?}",
+                        "{} at fuel {fuel} on {}: compiled {compiled:?} vs interpreted \
+                         {interpreted:?}",
                         env.relation(rel).name(),
                         render_args(u, args),
                     ));
                 }
-                match closure {
-                    Ok(verdict) => {
-                        let interpreted = interp.check_interpreted(rel, fuel, fuel, args);
-                        if interpreted != verdict {
-                            return OracleOutcome::Violation(format!(
-                                "{} at fuel {fuel} on {}: compiled {verdict:?} vs interpreted \
-                                 {interpreted:?}",
-                                env.relation(rel).name(),
-                                render_args(u, args),
-                            ));
-                        }
+                if let Err(e) = compiled {
+                    if !is_cutoff(&e) {
+                        return OracleOutcome::Violation(format!("compiled checker: {e}"));
                     }
-                    Err(e) if is_cutoff(&e) => {}
-                    Err(e) => return OracleOutcome::Violation(format!("closure checker: {e}")),
                 }
             }
         }
     }
-    let (closure_json, vm_json) = (closure_stats.to_json(), vm_stats.to_json());
-    if closure_json != vm_json {
+    let (vm_json, interp_json) = (
+        dispatch_invariant_stats(&vm_stats),
+        dispatch_invariant_stats(&interp_stats),
+    );
+    if vm_json != interp_json {
         return OracleOutcome::Violation(format!(
-            "search stats diverge: closure {closure_json} vs compiled {vm_json}",
+            "search stats diverge: compiled {vm_json} vs interpreted {interp_json}",
         ));
     }
     OracleOutcome::Pass

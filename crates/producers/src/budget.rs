@@ -29,7 +29,8 @@ use std::time::{Duration, Instant};
 /// reported separately as a deadline).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Resource {
-    /// Interpreter / lowered-closure steps.
+    /// Executor steps: checker entries and recursions, generator calls,
+    /// and enumerated elements.
     Steps,
     /// Abandoned alternatives in backtracking search.
     Backtracks,

@@ -1,17 +1,18 @@
-//! Parity of the compiled bytecode VM against the closure tree.
+//! Parity of the compiled bytecode VM against the plan interpreter.
 //!
-//! A [`Library::with_vm`] session runs every relation whose plan
-//! compiled to bytecode through the register VM instead of the lowered
-//! closure tree. The two backends promise *observational identity*:
-//! byte-identical verdicts, byte-identical [`SearchStats`] aggregation
-//! (same probe events in the same order), and byte-identical budget
-//! behaviour (`BudgetExhausted` at the same charge site, as `Result`
-//! equality under a step-budget ladder). These tests pin that contract
-//! on the three paper case studies — BST, STLC typing, and IFC
-//! indistinguishability — including a memoized shared-serving run where
-//! the two backends must populate and reuse the same table entries.
+//! Every session runs derived checkers whose plan compiled to bytecode
+//! on the register VM; the plan interpreter stays as the reference
+//! ([`Library::check_interpreted`]) and as the per-relation fallback for
+//! plans that do not compile. The two promise equal verdicts, equal
+//! budget behaviour (`Result` equality under a step-budget ladder), and
+//! equal search aggregation on every counter the interpreter can
+//! observe. These tests pin that contract on the three paper case
+//! studies — BST, STLC typing, and IFC indistinguishability — plus a
+//! relation too wide to compile, whose fallback must still pass through
+//! the budget, tabling, and serving layers.
 
 use indrel::bst::Bst;
+use indrel::fuzz::oracles::dispatch_invariant_stats;
 use indrel::ifc::Ifc;
 use indrel::prelude::*;
 use indrel::stlc::Stlc;
@@ -22,25 +23,79 @@ use rand::{Rng as _, SeedableRng};
 /// rungs exhaust mid-search, generous enough that the top rung decides.
 const STEP_LADDER: [u64; 6] = [1, 8, 64, 512, 4096, 1 << 20];
 
-/// Runs `sweep` once per backend — plain closure-tree library vs
-/// `with_vm` fork — with a [`SearchStats`] probe armed on each, and
-/// asserts byte-identical aggregation.
-fn assert_stats_parity(lib: &Library, sweep: impl Fn(&Library)) {
-    let vm = lib.fork().with_vm();
-    let closure_stats = SearchStats::new();
-    {
-        let _p = lib.arm_probe(ExecProbe::stats(&closure_stats));
-        sweep(lib);
-    }
-    let vm_stats = SearchStats::new();
-    {
-        let _p = vm.arm_probe(ExecProbe::stats(&vm_stats));
-        sweep(&vm);
-    }
+/// Asserts the VM ([`Library::check`]) and the interpreter agree on one
+/// call: the verdict, and the budgeted `Result` on every rung of the
+/// ladder. Returns the verdict.
+fn assert_matches_interpreter(
+    lib: &Library,
+    rel: RelId,
+    fuel: u64,
+    args: &[Value],
+) -> Option<bool> {
+    let verdict = lib.check(rel, fuel, fuel, args);
     assert_eq!(
-        closure_stats.to_json(),
-        vm_stats.to_json(),
-        "probe event aggregation must be byte-identical across backends"
+        verdict,
+        lib.check_interpreted(rel, fuel, fuel, args),
+        "fuel {fuel} on {args:?}"
+    );
+    for steps in STEP_LADDER {
+        let budget = || Budget::unlimited().with_steps(steps);
+        assert_eq!(
+            lib.try_check(rel, fuel, fuel, args, budget()),
+            lib.try_check_interpreted(rel, fuel, fuel, args, budget()),
+            "steps {steps} fuel {fuel} on {args:?}"
+        );
+    }
+    verdict
+}
+
+/// One way to run a checker call inside a stats sweep.
+type CheckFn = fn(&Library, RelId, u64, &[Value]) -> Option<bool>;
+
+const VM: CheckFn = |lib, rel, fuel, args| lib.check(rel, fuel, fuel, args);
+const VM_METERED: CheckFn = |lib, rel, fuel, args| {
+    let budget = Budget::unlimited().with_steps(u64::MAX / 2);
+    lib.try_check(rel, fuel, fuel, args, budget)
+        .expect("a generous budget never runs out")
+};
+const INTERPRETED: CheckFn = |lib, rel, fuel, args| lib.check_interpreted(rel, fuel, fuel, args);
+
+/// Runs `sweep` on fresh forks of `lib` with a [`SearchStats`] probe
+/// armed and asserts: the VM's full stats JSON is byte-identical across
+/// two identical runs and between a metered and an unmetered sweep, and
+/// the VM and the interpreter agree on [`dispatch_invariant_stats`]:
+/// entries, memo traffic, depth and term-size histograms, per-rule
+/// successes, and step-site unification failures. The remaining fields
+/// differ by design, because the interpreter is unindexed and emits no
+/// premise attribution: `index_skipped`, per-rule `attempts` and
+/// `backtracks` (it attempts every rule the dispatch index prunes),
+/// input-site `unify_fails` (where those pruned rules fail), and
+/// `premises`.
+fn assert_stats_parity(lib: &Library, sweep: impl Fn(&Library, CheckFn)) {
+    let run = |check: CheckFn| {
+        let session = lib.fork();
+        let stats = SearchStats::new();
+        {
+            let _p = session.arm_probe(ExecProbe::stats(&stats));
+            sweep(&session, check);
+        }
+        stats
+    };
+    let vm = run(VM);
+    assert_eq!(
+        vm.to_json(),
+        run(VM).to_json(),
+        "VM stats must be byte-identical across identical runs"
+    );
+    assert_eq!(
+        vm.to_json(),
+        run(VM_METERED).to_json(),
+        "arming a meter must not change the VM's stats"
+    );
+    assert_eq!(
+        dispatch_invariant_stats(&vm),
+        dispatch_invariant_stats(&run(INTERPRETED)),
+        "VM and interpreter must aggregate the same search"
     );
 }
 
@@ -93,35 +148,21 @@ fn bst_compiles_and_explain_reports_bytecode() {
 }
 
 #[test]
-fn bst_vm_matches_closure_verdicts_stats_and_cutoffs() {
+fn bst_vm_matches_interpreter_verdicts_stats_and_cutoffs() {
     let bst = Bst::new();
     let lib = bst.library();
-    let vm = lib.fork().with_vm();
     let rel = bst.relation();
     let corpus = bst_corpus(&bst, 80, 11);
     let fuels = [0u64, 2, 5, 9, 64];
     let mut verdicts = [0usize; 3];
     for args in &corpus {
         for fuel in fuels {
-            let want = lib.check(rel, fuel, fuel, args);
-            let got = vm.check(rel, fuel, fuel, args);
-            assert_eq!(got, want, "fuel {fuel} on {args:?}");
-            verdicts[match want {
+            let v = assert_matches_interpreter(lib, rel, fuel, args);
+            verdicts[match v {
                 Some(true) => 0,
                 Some(false) => 1,
                 None => 2,
             }] += 1;
-            // Budget parity as a `Result`: the VM charges the same
-            // sites in the same order, so each rung of the ladder
-            // exhausts (or decides) identically.
-            for steps in STEP_LADDER {
-                let budget = || Budget::unlimited().with_steps(steps);
-                assert_eq!(
-                    vm.try_check(rel, fuel, fuel, args, budget()),
-                    lib.try_check(rel, fuel, fuel, args, budget()),
-                    "steps {steps} fuel {fuel} on {args:?}"
-                );
-            }
         }
     }
     // The corpus must exercise all three verdicts or the sweep proves
@@ -130,22 +171,21 @@ fn bst_vm_matches_closure_verdicts_stats_and_cutoffs() {
         verdicts.iter().all(|&n| n > 0),
         "corpus should hit Some(true)/Some(false)/None: {verdicts:?}"
     );
-    assert_stats_parity(lib, |session| {
+    assert_stats_parity(lib, |session, check| {
         for args in &corpus {
             for fuel in fuels {
-                session.check(rel, fuel, fuel, args);
+                check(session, rel, fuel, args);
             }
         }
     });
 }
 
 #[test]
-fn stlc_vm_matches_closure_on_typing() {
+fn stlc_vm_matches_interpreter_on_typing() {
     let stlc = Stlc::new();
     let lib = stlc.library();
     let rel = stlc.typing_relation();
     assert!(lib.vm_compiled(rel), "stlc typing plan should compile");
-    let vm = lib.fork().with_vm();
     let mut rng = SmallRng::seed_from_u64(7);
     let mut corpus: Vec<Vec<Value>> = Vec::new();
     while corpus.len() < 60 {
@@ -163,27 +203,22 @@ fn stlc_vm_matches_closure_on_typing() {
     }
     for args in &corpus {
         for fuel in [0, 6, 40] {
-            assert_eq!(
-                vm.check(rel, fuel, fuel, args),
-                lib.check(rel, fuel, fuel, args),
-                "fuel {fuel} on {args:?}"
-            );
+            assert_matches_interpreter(lib, rel, fuel, args);
         }
     }
-    assert_stats_parity(lib, |session| {
+    assert_stats_parity(lib, |session, check| {
         for args in &corpus {
-            session.check(rel, 40, 40, args);
+            check(session, rel, 40, args);
         }
     });
 }
 
 #[test]
-fn ifc_vm_matches_closure_on_indist() {
+fn ifc_vm_matches_interpreter_on_indist() {
     let ifc = Ifc::new();
     let lib = ifc.library();
     let rel = ifc.indist_relation();
     assert!(lib.vm_compiled(rel), "ifc indist plan should compile");
-    let vm = lib.fork().with_vm();
     let mut rng = SmallRng::seed_from_u64(5);
     let mut corpus: Vec<Vec<Value>> = Vec::new();
     for i in 0..60 {
@@ -201,53 +236,38 @@ fn ifc_vm_matches_closure_on_indist() {
     }
     for args in &corpus {
         for fuel in [0, 8, 64] {
-            assert_eq!(
-                vm.check(rel, fuel, fuel, args),
-                lib.check(rel, fuel, fuel, args),
-                "fuel {fuel}"
-            );
-            for steps in STEP_LADDER {
-                let budget = || Budget::unlimited().with_steps(steps);
-                assert_eq!(
-                    vm.try_check(rel, fuel, fuel, args, budget()),
-                    lib.try_check(rel, fuel, fuel, args, budget()),
-                    "steps {steps} fuel {fuel}"
-                );
-            }
+            assert_matches_interpreter(lib, rel, fuel, args);
         }
     }
-    assert_stats_parity(lib, |session| {
+    assert_stats_parity(lib, |session, check| {
         for args in &corpus {
-            session.check(rel, 64, 64, args);
+            check(session, rel, 64, args);
         }
     });
 }
 
 #[test]
-fn memoized_vm_session_matches_memoized_closure_session() {
+fn memoized_vm_session_matches_plain_vm_session() {
     let bst = Bst::new();
     let plain = bst.library();
     let rel = bst.relation();
-    let closure_memo = plain.fork().with_memo();
-    let vm_memo = plain.fork().with_memo().with_vm();
+    let memo = plain.fork().with_memo();
     let corpus = bst_corpus(&bst, 120, 41);
     // Ascending fuels: later sweeps answer from entries the earlier
-    // sweeps cached (joint fuel monotonicity), on both backends.
+    // sweeps cached (joint fuel monotonicity).
     for fuel in [16u64, 64] {
         for args in &corpus {
             assert_eq!(
-                vm_memo.check(rel, fuel, fuel, args),
-                closure_memo.check(rel, fuel, fuel, args),
+                memo.check(rel, fuel, fuel, args),
+                plain.check(rel, fuel, fuel, args),
                 "fuel {fuel}"
             );
         }
     }
-    let (c, v) = (closure_memo.memo_stats(), vm_memo.memo_stats());
-    assert!(v.hits > 0, "the VM session should reuse entries: {v:?}");
-    assert_eq!(
-        (c.entries, c.hits, c.misses),
-        (v.entries, v.hits, v.misses),
-        "identical search trees must populate identical tables"
+    let stats = memo.memo_stats();
+    assert!(
+        stats.hits > 0,
+        "the memo session should reuse entries: {stats:?}"
     );
 }
 
@@ -255,31 +275,94 @@ fn memoized_vm_session_matches_memoized_closure_session() {
 fn shared_serving_sessions_agree_across_backends() {
     let bst = Bst::new();
     let rel = bst.relation();
+    let plain = bst.library().fork();
     let corpus = bst_corpus(&bst, 60, 23);
-    let run = |use_vm: bool| {
-        let config = ServeConfig {
-            shards: 4,
-            shard_capacity: 1 << 10,
-            steps_per_request: 1 << 16,
-            max_retries: 2,
-            use_vm,
-            ..ServeConfig::default()
-        };
-        let server = Server::new(bst.library().fork().shared(), config, Budget::unlimited());
-        let session = server.session();
-        assert_eq!(session.library().vm_enabled(), use_vm);
-        // Two passes: the second answers mostly from the shared table.
-        let first = session.check_batch(rel, 64, &corpus);
-        let second = session.check_batch(rel, 64, &corpus);
-        (first, second, server.stats())
+    let config = ServeConfig {
+        shards: 4,
+        shard_capacity: 1 << 10,
+        steps_per_request: 1 << 16,
+        max_retries: 2,
+        ..ServeConfig::default()
     };
-    let (c1, c2, cstats) = run(false);
-    let (v1, v2, vstats) = run(true);
-    assert_eq!(v1, c1, "first serving pass must agree tuple-for-tuple");
-    assert_eq!(v2, c2, "memo-warm serving pass must agree");
+    let server = Server::new(plain.shared(), config, Budget::unlimited());
+    let session = server.session();
+    let want: Vec<_> = corpus
+        .iter()
+        .map(|args| Ok(plain.check(rel, 64, 64, args)))
+        .collect();
+    // Two passes: the second answers mostly from the shared table.
+    assert_eq!(session.check_batch(rel, 64, &corpus), want, "first pass");
+    let hits_before = server.stats().hits;
     assert_eq!(
-        (cstats.entries, cstats.hits),
-        (vstats.entries, vstats.hits),
-        "both backends must drive the shared table identically"
+        session.check_batch(rel, 64, &corpus),
+        want,
+        "memo-warm pass"
     );
+    assert!(
+        server.stats().hits > hits_before,
+        "the second pass should answer from the shared table"
+    );
+}
+
+/// A relation wider than the VM's premise-arity ceiling (8) does not
+/// compile; the interpreter runs it instead, under the same entry
+/// boundary — budget charge, session memo, shared serving memo.
+#[test]
+fn uncompiled_relation_falls_back_to_the_interpreter() {
+    let mut u = Universe::new();
+    let mut env = RelEnv::new();
+    parse_program(
+        &mut u,
+        &mut env,
+        r"
+        rel wide : nat bool bool bool bool bool bool bool bool :=
+        | wide_0 : forall c d e f g h i, wide 0 true c d e f g h i
+        | wide_S : forall n b c d e f g h i,
+            wide n c b d e f g h i -> wide (S (S n)) b c d e f g h i
+        .
+        ",
+    )
+    .unwrap();
+    let rel = env.rel_id("wide").unwrap();
+    let mut b = LibraryBuilder::new(u, env);
+    b.derive_checker(rel).unwrap();
+    let lib = b.build();
+    assert!(!lib.vm_compiled(rel), "a 9-ary plan must not compile");
+    assert!(lib
+        .explain(rel)
+        .contains("not compiled (interpreter fallback)"));
+
+    let validator = Validator::new(lib.fork()).unwrap();
+    let bits = |k: u32| (0..8).map(move |i| Value::bool(k >> i & 1 == 1));
+    let corpus: Vec<Vec<Value>> = (0..6u64)
+        .flat_map(|n| (0..256u32).step_by(37).map(move |k| (n, k)))
+        .map(|(n, k)| std::iter::once(Value::nat(n)).chain(bits(k)).collect())
+        .collect();
+    let memo = lib.fork().with_memo();
+    let server = Server::new(lib.shared(), ServeConfig::default(), Budget::unlimited());
+    let session = server.session();
+    let mut verdicts = [0usize; 3];
+    for fuel in [0u64, 1, 2, 4] {
+        let served = session.check_batch(rel, fuel, &corpus);
+        for (args, served) in corpus.iter().zip(served) {
+            let v = assert_matches_interpreter(&lib, rel, fuel, args);
+            assert_eq!(memo.check(rel, fuel, fuel, args), v, "memo, fuel {fuel}");
+            assert_eq!(served, Ok(v), "served, fuel {fuel} on {args:?}");
+            verdicts[match v {
+                Some(true) => 0,
+                Some(false) => 1,
+                None => 2,
+            }] += 1;
+        }
+    }
+    assert!(
+        verdicts.iter().all(|&n| n > 0),
+        "corpus should hit Some(true)/Some(false)/None: {verdicts:?}"
+    );
+    for args in &corpus {
+        let case = validator.checker_case(rel, args);
+        assert!(case.is_valid(), "{args:?}: {:?}", case.violations);
+    }
+    assert!(memo.memo_stats().hits > 0, "{:?}", memo.memo_stats());
+    assert!(server.stats().hits > 0, "{:?}", server.stats());
 }
