@@ -33,7 +33,7 @@
 
 use crate::error::{ExecError, InstanceKind};
 use crate::library::{CheckerImpl, Library, ProducerImpl};
-use crate::memo::{Lookup, MIN_SEARCH_COST};
+use crate::memo::{query_fp, MIN_SEARCH_COST};
 use crate::mode::Mode;
 use crate::plan::{Plan, Step};
 use crate::vm::VmProgram;
@@ -698,13 +698,14 @@ impl Library {
 
     /// Runs a derived checker at an *entry boundary* — a top-level
     /// [`Library::check`] or an external `CheckRel` premise — with the
-    /// budget charge and the memo tables consulted on the way in, then
-    /// switches to the backend: the bytecode VM when the plan compiled
-    /// (`vm` is `Some`), the plan interpreter otherwise. Placing the
-    /// switch below this boundary is what makes tabling, the shared
-    /// serving table, and the `try_*` budgets behave the same on both.
+    /// budget charge and the attached verdict table consulted on the way
+    /// in, then switches to the backend: the bytecode VM when the plan
+    /// compiled (`vm` is `Some`), the plan interpreter otherwise.
+    /// Placing the switch below this boundary is what makes tabling
+    /// (private or shared) and the `try_*` budgets behave the same on
+    /// both.
     ///
-    /// Recursive self-calls skip the tables (`RecSelf` in the VM,
+    /// Recursive self-calls skip the table (`RecSelf` in the VM,
     /// [`Library::run_plan_check`] in the interpreter): they descend
     /// into strict subterms of a tuple that already missed here, so
     /// per-level lookups would tax every recursion of a miss-heavy
@@ -726,113 +727,53 @@ impl Library {
         if !self.charge_step() {
             return None;
         }
-        // Serving sessions consult the process-wide concurrent table
-        // (crate::serve) first: monotone verdicts cached by any session
-        // over the same frozen core answer this one too. Ordinary
-        // sessions pay one `RefCell` borrow + `Option` check here.
-        let shared = self.inner.shared_memo.borrow().clone();
-        let Some(sm) = shared else {
-            return self.memo_or_search(plan, vm, size, top, args);
-        };
-        let rel = plan.rel;
-        // The fingerprint comes from this session's interner —
-        // structural, so identical across sessions — and doubles as the
-        // shard key.
-        let fp = self.inner.memo.borrow_mut().query_fp(rel, args);
-        if let Some(verdict) = sm.lookup(rel, fp, args, size, top) {
-            self.inner.shared_hits.set(self.inner.shared_hits.get() + 1);
-            self.probe(|| Event::MemoHit { rel });
-            return Some(verdict);
-        }
-        self.inner
-            .shared_misses
-            .set(self.inner.shared_misses.get() + 1);
-        self.probe(|| Event::MemoMiss { rel });
-        let calls_before = self.inner.search_calls.get();
-        let result = self.memo_or_search(plan, vm, size, top, args);
-        self.memo_write(
-            result,
-            calls_before,
-            |verdict| sm.insert(rel, fp, args, size, top, verdict),
-            || sm.note_none_skipped(),
-        );
-        result
-    }
-
-    /// The local-table half of an entry boundary: the session memo
-    /// lookup (when enabled) wrapped around the search. Split from
-    /// [`Library::run_derived_check`] so serving sessions can layer the
-    /// concurrent table on top.
-    fn memo_or_search(
-        &self,
-        plan: &Arc<Plan>,
-        vm: Option<&VmProgram>,
-        size: u64,
-        top: u64,
-        args: &[Value],
-    ) -> Option<bool> {
         let search = || match vm {
             Some(prog) => self.run_vm_search(prog, size, top, args),
             None => self.plan_search(plan, size, top, args),
         };
-        if !self.inner.memo_enabled.get() {
-            return search();
-        }
         // Tabling (crate::memo): decided verdicts are monotone in both
         // fuels, so an entry decided at dominated fuels answers this
-        // call outright. The borrow must end before the search below —
-        // recursive calls re-enter this table.
-        let rel = plan.rel;
-        let lookup = self.inner.memo.borrow_mut().lookup(rel, args, size, top);
-        let fp = match lookup {
-            Lookup::Hit(verdict) => {
-                self.probe(|| Event::MemoHit { rel });
-                return Some(verdict);
-            }
-            Lookup::Miss(fp) => {
-                self.probe(|| Event::MemoMiss { rel });
-                fp
-            }
+        // call outright. The table borrow is shared and held across the
+        // search, so recursive entries re-borrow it without touching the
+        // `Arc`'s refcount; sessions without a table pay one borrow and
+        // an `Option` test here.
+        let memo = self.inner.memo.borrow();
+        let Some(table) = memo.as_deref() else {
+            drop(memo);
+            return search();
         };
+        let rel = plan.rel;
+        // Structural, so identical across sessions sharing the table;
+        // doubles as the shard key. The interner borrow ends here.
+        let fp = query_fp(&mut self.inner.interner.borrow_mut(), rel, args);
+        if let Some(verdict) = table.lookup(rel, fp, args, size, top) {
+            self.inner.memo_hits.set(self.inner.memo_hits.get() + 1);
+            self.probe(|| Event::MemoHit { rel });
+            return Some(verdict);
+        }
+        self.inner.memo_misses.set(self.inner.memo_misses.get() + 1);
+        self.probe(|| Event::MemoMiss { rel });
         let calls_before = self.inner.search_calls.get();
         let result = search();
-        let memo = &self.inner.memo;
-        self.memo_write(
-            result,
-            calls_before,
-            |verdict| memo.borrow_mut().insert(rel, fp, args, size, top, verdict),
-            || memo.borrow_mut().note_none_skipped(),
-        );
-        result
-    }
-
-    /// The write guard both verdict tables share, applied to the
-    /// `result` of a search that started when `search_calls` read
-    /// `calls_before`. A decided verdict is handed to `insert` only when
-    /// the search cost at least [`MIN_SEARCH_COST`] recursions (leaf
-    /// goals re-derive faster than a table answers them) and no armed
-    /// meter is exhausted (past that point inner searches return early
-    /// and verdicts can be fabricated — the `try_*` entry points mask
-    /// them with an error; exhaustion is sticky, so checking now covers
-    /// the whole search). `None` is not a verdict — a larger fuel may
-    /// still decide it — so it is never cached, only counted through
-    /// `note_none`.
-    fn memo_write(
-        &self,
-        result: Option<bool>,
-        calls_before: u64,
-        insert: impl FnOnce(bool),
-        note_none: impl FnOnce(),
-    ) {
+        // The write guard. A decided verdict is cached only when the
+        // search cost at least MIN_SEARCH_COST recursions (leaf goals
+        // re-derive faster than a table answers them) and no armed meter
+        // is exhausted (past that point inner searches return early and
+        // verdicts can be fabricated — the `try_*` entry points mask
+        // them with an error; exhaustion is sticky, so checking now
+        // covers the whole search). `None` is not a verdict — a larger
+        // fuel may still decide it — so it is never cached, only
+        // counted.
         match result {
             Some(verdict) => {
                 let cost = self.inner.search_calls.get() - calls_before;
                 if cost >= MIN_SEARCH_COST && self.meter_intact() {
-                    insert(verdict);
+                    table.insert(rel, fp, args, size, top, verdict);
                 }
             }
-            None => note_none(),
+            None => table.note_none_skipped(fp),
         }
+        result
     }
 
     // ------------------------------------------------------------------

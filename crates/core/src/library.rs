@@ -11,12 +11,13 @@
 use crate::compile::{compile_plan, compile_plan_with_profile, DepResolver};
 use crate::cost::CostProfile;
 use crate::error::{DeriveError, ExecError, InstanceKind};
+use crate::memo::{MemoStats, SharedMemo, DEFAULT_CAPACITY};
 use crate::mode::Mode;
 use crate::plan::Plan;
 use crate::DeriveOptions;
 use indrel_producers::{EStream, Event, ExecProbe, Meter, NameTable, PremiseStats, SearchStats};
 use indrel_rel::RelEnv;
-use indrel_term::{RelId, Universe, Value};
+use indrel_term::{Interner, RelId, Universe, Value};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::rc::Rc;
@@ -106,30 +107,26 @@ pub(crate) struct Inner {
     pub(crate) probe_armed: std::cell::Cell<bool>,
     /// Current executor nesting depth, for `Event::Enter`.
     pub(crate) depth: std::cell::Cell<u32>,
-    /// The session's verdict table (tabling, [`crate::memo`]). Present
-    /// but inert until [`Library::with_memo`] flips `memo_enabled`.
-    pub(crate) memo: std::cell::RefCell<crate::memo::MemoTable>,
-    /// Mirror flag, like `probe_armed`: a derived checker consults it
-    /// on every entry, so the disabled cost is one `Cell` load.
-    pub(crate) memo_enabled: std::cell::Cell<bool>,
+    /// The verdict table derived checkers consult at entry boundaries
+    /// (tabling, [`crate::memo`]): a private one-shard table after
+    /// [`Library::with_memo`], the server's N-shard table on a serving
+    /// session, `None` (one `RefCell` borrow + `Option` test per entry)
+    /// otherwise.
+    pub(crate) memo: std::cell::RefCell<Option<Arc<SharedMemo>>>,
+    /// Hash-conses argument subtrees into the structural fingerprints
+    /// that key the table; session-local, so lookups never share it.
+    pub(crate) interner: std::cell::RefCell<Interner>,
     /// Monotone count of derived checker searches this session; the
     /// delta across one search is the memo layer's cost gate (a verdict
     /// that cost fewer than [`crate::memo::MIN_SEARCH_COST`] recursions
     /// is not worth caching).
     pub(crate) search_calls: std::cell::Cell<u64>,
-    /// The process-wide concurrent verdict table ([`crate::serve`]),
-    /// when this session serves requests through one. Consulted by
-    /// derived checkers at the same entry boundaries as the local table;
-    /// `None` (one `RefCell` borrow + `Option` check per entry) for
-    /// ordinary sessions.
-    pub(crate) shared_memo: std::cell::RefCell<Option<Arc<crate::serve::SharedMemo>>>,
-    /// Session-local count of shared-table hits, so the serving layer
-    /// can attribute memo reuse to individual requests (the table's own
-    /// counters are process-wide). Only advanced on the shared-memo
-    /// path.
-    pub(crate) shared_hits: std::cell::Cell<u64>,
-    /// Session-local count of shared-table misses; see `shared_hits`.
-    pub(crate) shared_misses: std::cell::Cell<u64>,
+    /// Session-local count of table hits, so the serving layer can
+    /// attribute memo reuse to individual requests (a shared table's
+    /// own counters are process-wide).
+    pub(crate) memo_hits: std::cell::Cell<u64>,
+    /// Session-local count of table misses; see `memo_hits`.
+    pub(crate) memo_misses: std::cell::Cell<u64>,
     /// Scratch frames for the bytecode VM ([`crate::vm`]), kept on the
     /// session so frame and argument vectors amortize across checks.
     /// Taken wholesale at each VM entry (never borrowed across the
@@ -147,12 +144,11 @@ impl Inner {
             probe: std::cell::RefCell::new(ExecProbe::NoProbe),
             probe_armed: std::cell::Cell::new(false),
             depth: std::cell::Cell::new(0),
-            memo: std::cell::RefCell::new(crate::memo::MemoTable::default()),
-            memo_enabled: std::cell::Cell::new(false),
+            memo: std::cell::RefCell::new(None),
+            interner: std::cell::RefCell::new(Interner::new(DEFAULT_CAPACITY)),
             search_calls: std::cell::Cell::new(0),
-            shared_memo: std::cell::RefCell::new(None),
-            shared_hits: std::cell::Cell::new(0),
-            shared_misses: std::cell::Cell::new(0),
+            memo_hits: std::cell::Cell::new(0),
+            memo_misses: std::cell::Cell::new(0),
             vm_frames: std::cell::RefCell::new(crate::vm::VmFrames::default()),
         }
     }
@@ -619,8 +615,10 @@ impl Library {
     /// derived checkers cache decided (`Some`) verdicts across calls,
     /// justified by the monotonicity theorems of §5 (see
     /// [`crate::memo`]). Out-of-fuel `None` verdicts are never cached.
+    /// Shorthand for [`Library::with_memo_capacity`] at
+    /// [`DEFAULT_CAPACITY`].
     ///
-    /// The flag is session state: clones of this `Library` share it,
+    /// The table is session state: clones of this `Library` share it,
     /// but [`Library::fork`] starts with tabling off again.
     ///
     /// # Example
@@ -631,8 +629,7 @@ impl Library {
     /// lib.check(rel, fuel, fuel, &args); // answered from the table
     /// ```
     pub fn with_memo(self) -> Library {
-        self.inner.memo_enabled.set(true);
-        self
+        self.with_memo_capacity(DEFAULT_CAPACITY)
     }
 
     /// Returns the session unchanged. Every session runs derived
@@ -658,47 +655,55 @@ impl Library {
     }
 
     /// Like [`Library::with_memo`], with an explicit bound on the
-    /// number of cached verdicts (and interned term nodes). Once full,
-    /// the table stops admitting new entries — deterministic, no
-    /// eviction — and existing entries keep serving hits.
+    /// number of cached verdicts (and interned term nodes): attaches a
+    /// private one-shard [`SharedMemo`]. Once full, the table stops
+    /// admitting new entries — deterministic, no eviction — and
+    /// existing entries keep serving hits.
     pub fn with_memo_capacity(self, max_entries: usize) -> Library {
-        self.inner
-            .memo
-            .replace(crate::memo::MemoTable::with_capacity(max_entries));
-        self.with_memo()
+        self.inner.interner.replace(Interner::new(max_entries));
+        self.with_shared_memo(Arc::new(SharedMemo::new(1, max_entries)))
     }
 
-    /// Attaches a process-wide concurrent verdict table
-    /// ([`serve::SharedMemo`](crate::serve::SharedMemo)) to this
-    /// session and returns it, for chaining. Derived checkers consult
-    /// the shared table at the same entry boundaries as the
-    /// local one (and under the same write guards); fuel monotonicity
-    /// makes verdicts cached by *any* session valid for every session
-    /// over the same frozen core. The caller must only attach tables
-    /// created for this library's [`SharedLibrary`] core — fingerprints
-    /// are structural, but relation ids are only meaningful per core.
-    pub fn with_shared_memo(self, memo: Arc<crate::serve::SharedMemo>) -> Library {
-        *self.inner.shared_memo.borrow_mut() = Some(memo);
+    /// Attaches `memo` as this session's verdict table, replacing any
+    /// table attached before, and returns the session, for chaining.
+    /// Derived checkers consult it at entry boundaries under the write
+    /// guards of [`crate::memo`]; fuel monotonicity makes verdicts
+    /// cached by *any* session valid for every session over the same
+    /// frozen core, so one table may serve many sessions (this is how
+    /// [`Server::session`](crate::serve::Server::session) attaches its
+    /// N-shard table). The caller must only attach tables created for
+    /// this library's [`SharedLibrary`] core — fingerprints are
+    /// structural, but relation ids are only meaningful per core.
+    /// Attaching while a check is running on this session panics.
+    pub fn with_shared_memo(self, memo: Arc<SharedMemo>) -> Library {
+        *self.inner.memo.borrow_mut() = Some(memo);
         self
     }
 
-    /// This session's cumulative shared-table `(hits, misses)` counts.
-    /// The serving layer reads the delta across one request to give each
+    /// This session's cumulative table `(hits, misses)` counts. The
+    /// serving layer reads the delta across one request to give each
     /// [`RequestSpan`](crate::serve::RequestSpan) its memo attribution;
-    /// both stay zero for sessions without a shared table.
-    pub fn shared_memo_counts(&self) -> (u64, u64) {
-        (self.inner.shared_hits.get(), self.inner.shared_misses.get())
+    /// both stay zero while no table is attached.
+    pub fn memo_counts(&self) -> (u64, u64) {
+        (self.inner.memo_hits.get(), self.inner.memo_misses.get())
     }
 
-    /// `true` when tabling is enabled on this session.
+    /// `true` when a verdict table is attached to this session — by
+    /// [`Library::with_memo`] or by a server.
     pub fn memo_enabled(&self) -> bool {
-        self.inner.memo_enabled.get()
+        self.inner.memo.borrow().is_some()
     }
 
-    /// This session's tabling counters (all zero when tabling was never
-    /// enabled).
-    pub fn memo_stats(&self) -> crate::memo::MemoStats {
-        self.inner.memo.borrow().stats()
+    /// The counters of the attached verdict table (all zero when none
+    /// is attached). On a serving session the table is the server's, so
+    /// the counts are process-wide; [`Library::memo_counts`] has this
+    /// session's share.
+    pub fn memo_stats(&self) -> MemoStats {
+        self.inner
+            .memo
+            .borrow()
+            .as_ref()
+            .map_or_else(MemoStats::default, |m| m.stats())
     }
 
     /// Arms `probe` on this library until the returned guard drops,

@@ -1,29 +1,14 @@
-//! Concurrent relation serving: a sharded process-wide verdict table
-//! and a hardened request layer over it.
+//! Concurrent relation serving: a hardened request layer over one
+//! frozen [`SharedLibrary`] core and one process-wide verdict table.
 //!
-//! The per-session [`MemoTable`](crate::memo) is deliberately
-//! single-threaded (it owns an interner and lives behind a `RefCell`).
-//! This module adds the concurrent counterpart for *serving* workloads —
-//! many worker threads checking queries against one frozen
-//! [`SharedLibrary`] core:
+//! Many worker threads check queries against the same core. Every
+//! worker session gets the server's N-shard [`SharedMemo`] attached —
+//! the same table type a private [`Library::with_memo`] session uses
+//! with one shard (see [`crate::memo`] for the soundness guards and
+//! poison degradation). Fuel monotonicity (§5) is what makes *sharing*
+//! sound: a verdict decided by any session holds for every session at
+//! dominating fuels. On top of it:
 //!
-//! * [`SharedMemo`] — a fingerprint-sharded verdict table
-//!   (`RwLock`-per-shard, so concurrent readers never contend) with the
-//!   same soundness guards as the local table: only decided verdicts,
-//!   only under an intact meter, dominance-widening on insert, and
-//!   structural confirmation of fingerprint matches. Fuel monotonicity
-//!   (§5) is what makes *sharing* sound: a verdict decided by any
-//!   session holds for every session at dominating fuels, so entries
-//!   never need invalidating and a reader can never observe a stale
-//!   answer — only a missing one.
-//! * **Poison recovery** — a writer that panics inside a shard poisons
-//!   only that shard's lock. The next access marks the shard *degraded*
-//!   and from then on the shard answers every lookup with a miss and
-//!   swallows every insert: callers transparently fall back to the
-//!   unmemoized checker path, which is sound for the same monotonicity
-//!   reason (the table is an accelerator, never an authority). The
-//!   [`MemoStats::degraded_shards`] counter surfaces how much of the
-//!   table has been retired.
 //! * [`Server`] / [`Session`] — a request layer with admission control
 //!   (bounded in-flight requests, shedding with
 //!   [`ExecError::Overloaded`] instead of queueing), per-request step
@@ -74,278 +59,28 @@
 
 use crate::error::ExecError;
 use crate::library::{Library, ReplanReport, SharedLibrary};
-use crate::memo::{args_match, MemoStats};
+use crate::memo::MemoStats;
+pub use crate::memo::SharedMemo;
 use indrel_producers::probe::Event;
 use indrel_producers::{
     json_escape, Budget, BudgetPool, Counter, Determinism, Log2Histogram, MetricsRegistry,
     MetricsSnapshot, RequestOutcome, SearchStats,
 };
-use indrel_term::{shard_of, FastHashBuilder, RelId, Value};
+use indrel_term::{RelId, Value};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 // Everything the serving layer shares across worker threads must be
 // thread-safe by construction, not by accident.
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<SharedMemo>();
     assert_send_sync::<Server>();
     assert_send_sync::<Permit>();
 };
-
-/// One cached verdict, mirroring the local table's slot: the relation,
-/// the canonical argument tuple that confirms fingerprint matches, and
-/// the smallest fuels the verdict is known at.
-struct Slot {
-    rel: RelId,
-    args: Box<[Value]>,
-    size: u64,
-    top: u64,
-    verdict: bool,
-}
-
-/// One shard: a bucket map behind its own `RwLock`, plus the degraded
-/// flag poison recovery flips.
-struct Shard {
-    buckets: RwLock<HashMap<u64, Vec<Slot>, FastHashBuilder>>,
-    /// Entries in this shard; written only under the shard's write
-    /// lock, read lock-free by [`SharedMemo::stats`].
-    entries: AtomicUsize,
-    /// Set once, on the first access that observes the lock poisoned.
-    /// A degraded shard answers misses and swallows inserts forever.
-    degraded: AtomicBool,
-}
-
-impl Default for Shard {
-    fn default() -> Shard {
-        Shard {
-            buckets: RwLock::new(HashMap::default()),
-            entries: AtomicUsize::new(0),
-            degraded: AtomicBool::new(false),
-        }
-    }
-}
-
-/// The process-wide concurrent verdict table. See the module docs for
-/// the sharing and degradation model; see [`crate::memo`] for the
-/// monotonicity argument and the write guards (both tables enforce the
-/// same ones — the caller in `run_derived_check` gates on search cost
-/// and meter intactness before calling [`SharedMemo::insert`]).
-pub struct SharedMemo {
-    shards: Box<[Shard]>,
-    shard_capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    none_skipped: AtomicU64,
-    full_skipped: AtomicU64,
-    degraded_shards: AtomicU64,
-    /// Shard indices degraded since the last drain, for sessions to
-    /// report as [`Event::ShardDegraded`] probe events (probes are
-    /// session-local, so the table itself cannot emit).
-    degraded_events: Mutex<Vec<u32>>,
-}
-
-impl std::fmt::Debug for SharedMemo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SharedMemo")
-            .field("shards", &self.shards.len())
-            .field("shard_capacity", &self.shard_capacity)
-            .field("degraded", &self.degraded_count())
-            .finish()
-    }
-}
-
-impl SharedMemo {
-    /// An empty table with `shards` shards (must be a power of two),
-    /// each admitting at most `shard_capacity` verdicts. Once a shard
-    /// is full it stops admitting — deterministically, no eviction —
-    /// and keeps serving hits from what it has, like the local table.
-    pub fn new(shards: usize, shard_capacity: usize) -> SharedMemo {
-        assert!(
-            shards.is_power_of_two(),
-            "shard count must be a power of two, got {shards}"
-        );
-        SharedMemo {
-            shards: (0..shards).map(|_| Shard::default()).collect(),
-            shard_capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            none_skipped: AtomicU64::new(0),
-            full_skipped: AtomicU64::new(0),
-            degraded_shards: AtomicU64::new(0),
-            degraded_events: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// The number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard a fingerprint maps to — exposed so chaos harnesses can
-    /// poison the shard a particular query lives in.
-    pub fn shard_for(&self, fp: u64) -> usize {
-        shard_of(fp, self.shards.len())
-    }
-
-    /// Shards retired by poison recovery so far.
-    pub fn degraded_count(&self) -> u64 {
-        self.degraded_shards.load(Ordering::Relaxed)
-    }
-
-    /// Retires a shard: flips its degraded flag (once) and queues the
-    /// probe event. Every later lookup in the shard is a miss and every
-    /// insert a no-op, so the table degrades instead of propagating the
-    /// panic that poisoned the lock.
-    fn mark_degraded(&self, idx: usize) {
-        if !self.shards[idx].degraded.swap(true, Ordering::Relaxed) {
-            self.degraded_shards.fetch_add(1, Ordering::Relaxed);
-            self.degraded_events
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(idx as u32);
-        }
-    }
-
-    /// Shard indices degraded since the last call — the session layer
-    /// drains this after each request and reports each as an
-    /// [`Event::ShardDegraded`].
-    pub fn drain_degraded_events(&self) -> Vec<u32> {
-        std::mem::take(
-            &mut *self
-                .degraded_events
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
-        )
-    }
-
-    /// Looks up `(rel, args)` under its structural fingerprint for a
-    /// query at fuels `(size, top)`. `None` is a miss — including every
-    /// query routed to a degraded shard, which is the transparent
-    /// fallback to the unmemoized search.
-    pub fn lookup(&self, rel: RelId, fp: u64, args: &[Value], size: u64, top: u64) -> Option<bool> {
-        let idx = self.shard_for(fp);
-        let shard = &self.shards[idx];
-        if shard.degraded.load(Ordering::Relaxed) {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let guard = match shard.buckets.read() {
-            Ok(g) => g,
-            Err(_) => {
-                // A writer panicked while holding this shard. Retire it
-                // and fall back; the other shards keep serving.
-                self.mark_degraded(idx);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        };
-        if let Some(bucket) = guard.get(&fp) {
-            for slot in bucket {
-                if slot.rel == rel && args_match(&slot.args, args) {
-                    if size >= slot.size && top >= slot.top {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return Some(slot.verdict);
-                    }
-                    break;
-                }
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
-    }
-
-    /// Records a decided verdict observed at fuels `(size, top)`,
-    /// widening an existing entry in place when the new fuels dominate
-    /// it (same rule as the local table). The caller must apply the
-    /// write guards of [`crate::memo`]: never a `None`, never under an
-    /// exhausted meter, never below the search-cost gate.
-    pub fn insert(&self, rel: RelId, fp: u64, args: &[Value], size: u64, top: u64, verdict: bool) {
-        let idx = self.shard_for(fp);
-        let shard = &self.shards[idx];
-        if shard.degraded.load(Ordering::Relaxed) {
-            return;
-        }
-        let mut guard = match shard.buckets.write() {
-            Ok(g) => g,
-            Err(_) => {
-                self.mark_degraded(idx);
-                return;
-            }
-        };
-        if let Some(bucket) = guard.get_mut(&fp) {
-            for slot in bucket.iter_mut() {
-                if slot.rel == rel && args_match(&slot.args, args) {
-                    if size <= slot.size && top <= slot.top {
-                        slot.size = size;
-                        slot.top = top;
-                        slot.verdict = verdict;
-                        self.insertions.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return;
-                }
-            }
-        }
-        if shard.entries.load(Ordering::Relaxed) < self.shard_capacity {
-            guard.entry(fp).or_default().push(Slot {
-                rel,
-                args: args.to_vec().into_boxed_slice(),
-                size,
-                top,
-                verdict,
-            });
-            shard.entries.fetch_add(1, Ordering::Relaxed);
-            self.insertions.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.full_skipped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Counts a `None` verdict refused at the write site (the
-    /// monotonicity boundary, as in the local table).
-    pub fn note_none_skipped(&self) {
-        self.none_skipped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot of the table counters. `shed` and `retries` are request
-    /// telemetry and stay zero here; [`Server::stats`] fills them in.
-    pub fn stats(&self) -> MemoStats {
-        MemoStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            none_skipped: self.none_skipped.load(Ordering::Relaxed),
-            full_skipped: self.full_skipped.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.entries.load(Ordering::Relaxed))
-                .sum(),
-            degraded_shards: self.degraded_count(),
-            shed: 0,
-            retries: 0,
-        }
-    }
-
-    /// Chaos hook: poisons `shard`'s lock exactly the way a panicking
-    /// writer would — by panicking while holding the write guard
-    /// (caught here, so the caller keeps running). The shard is retired
-    /// lazily, on its next access. Tests and the chaos harness use this
-    /// to prove degraded shards never produce wrong verdicts.
-    pub fn poison_shard(&self, shard: usize) {
-        let lock = &self.shards[shard].buckets;
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = lock.write();
-            panic!("injected shard poison");
-        }));
-    }
-}
 
 /// The completed-request record the serving layer keeps for every
 /// request: the `(seed, index)` repro token, what was asked, how it
@@ -373,9 +108,9 @@ pub struct RequestSpan {
     pub attempts: u32,
     /// Budget steps spent across all attempts.
     pub steps: u64,
-    /// Shared-memo hits observed during the request.
+    /// Memo hits this session observed during the request.
     pub memo_hits: u64,
-    /// Shared-memo misses observed during the request.
+    /// Memo misses this session observed during the request.
     pub memo_misses: u64,
 }
 
@@ -1054,9 +789,9 @@ impl Session {
                 return Err(e);
             }
         };
-        let (hits_before, misses_before) = self.lib.shared_memo_counts();
+        let (hits_before, misses_before) = self.lib.memo_counts();
         let (result, attempts, steps) = self.run_attempts(rel, size, args, seed, index);
-        let (hits_after, misses_after) = self.lib.shared_memo_counts();
+        let (hits_after, misses_after) = self.lib.memo_counts();
         let outcome = match &result {
             Ok(Some(true)) => RequestOutcome::True,
             Ok(Some(false)) => RequestOutcome::False,
@@ -1191,37 +926,14 @@ impl Session {
 mod tests {
     use super::*;
     use crate::library::LibraryBuilder;
+    use crate::memo::tests::silence_injected_panics;
     use indrel_producers::{ExecProbe, SearchStats};
     use indrel_rel::parse::parse_program;
     use indrel_rel::RelEnv;
-    use indrel_term::{CtorId, Universe};
-
-    /// Keeps the injected `poison_shard` panics out of test output
-    /// (other panics still print; `indrel_pbt` has the general version,
-    /// but core cannot depend on it).
-    fn silence_injected_panics() {
-        use std::sync::Once;
-        static ONCE: Once = Once::new();
-        ONCE.call_once(|| {
-            let prev = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                let injected = info
-                    .payload()
-                    .downcast_ref::<&str>()
-                    .is_some_and(|m| m.contains("injected shard poison"));
-                if !injected {
-                    prev(info);
-                }
-            }));
-        });
-    }
+    use indrel_term::Universe;
 
     fn rel() -> RelId {
         RelId::new(0)
-    }
-
-    fn tree(n: u64) -> Value {
-        Value::ctor(CtorId::new(1), vec![Value::nat(n)])
     }
 
     fn shared_even() -> (SharedLibrary, RelId) {
@@ -1258,69 +970,6 @@ mod tests {
         let mut b = LibraryBuilder::new(u, env);
         b.derive_checker(twin).unwrap();
         (b.build().shared(), twin)
-    }
-
-    #[test]
-    fn miss_insert_hit_and_dominance() {
-        let m = SharedMemo::new(8, 16);
-        let args = [tree(3), Value::nat(7)];
-        let fp = 0xDEAD_BEEF_u64;
-        assert_eq!(m.lookup(rel(), fp, &args, 5, 5), None);
-        m.insert(rel(), fp, &args, 5, 5, true);
-        // Structurally equal but physically fresh args hit.
-        let again = [tree(3), Value::nat(7)];
-        assert_eq!(m.lookup(rel(), fp, &again, 5, 5), Some(true));
-        assert_eq!(m.lookup(rel(), fp, &again, 9, 6), Some(true));
-        // Dominated fuels do not answer.
-        assert_eq!(m.lookup(rel(), fp, &again, 4, 5), None);
-        // A dominating insert widens in place: one entry, two inserts.
-        m.insert(rel(), fp, &args, 2, 2, true);
-        assert_eq!(m.lookup(rel(), fp, &again, 2, 2), Some(true));
-        let s = m.stats();
-        assert_eq!(s.entries, 1);
-        assert_eq!(s.insertions, 2);
-        assert_eq!(s.hits, 3);
-        assert_eq!(s.misses, 2);
-        // Colliding fingerprints are confirmed structurally.
-        let other = [tree(4), Value::nat(7)];
-        assert_eq!(m.lookup(rel(), fp, &other, 9, 9), None);
-    }
-
-    #[test]
-    fn shard_capacity_stops_admitting() {
-        let m = SharedMemo::new(1, 2);
-        for n in 0..4 {
-            m.insert(rel(), n, &[tree(n)], 5, 5, true);
-        }
-        let s = m.stats();
-        assert_eq!(s.entries, 2);
-        assert_eq!(s.full_skipped, 2);
-        assert_eq!(m.lookup(rel(), 0, &[tree(0)], 5, 5), Some(true));
-    }
-
-    #[test]
-    fn poisoned_shard_degrades_and_the_rest_keep_serving() {
-        silence_injected_panics();
-        let m = SharedMemo::new(4, 16);
-        // Two fingerprints in different shards.
-        let (fp_a, mut fp_b) = (0u64, 1u64);
-        while m.shard_for(fp_a) == m.shard_for(fp_b) {
-            fp_b += 1;
-        }
-        m.insert(rel(), fp_a, &[tree(1)], 5, 5, true);
-        m.insert(rel(), fp_b, &[tree(2)], 5, 5, false);
-        m.poison_shard(m.shard_for(fp_a));
-        // The poisoned shard answers misses (fallback), once marked.
-        assert_eq!(m.lookup(rel(), fp_a, &[tree(1)], 5, 5), None);
-        assert_eq!(m.degraded_count(), 1);
-        // Inserts to it are swallowed; lookups stay misses.
-        m.insert(rel(), fp_a, &[tree(9)], 5, 5, true);
-        assert_eq!(m.lookup(rel(), fp_a, &[tree(9)], 5, 5), None);
-        // The other shard is untouched.
-        assert_eq!(m.lookup(rel(), fp_b, &[tree(2)], 5, 5), Some(false));
-        assert_eq!(m.stats().degraded_shards, 1);
-        assert_eq!(m.drain_degraded_events(), vec![m.shard_for(fp_a) as u32]);
-        assert!(m.drain_degraded_events().is_empty(), "drain is one-shot");
     }
 
     #[test]

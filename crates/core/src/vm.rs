@@ -47,7 +47,7 @@
 //! bool` parameter): a *metered* loop that charges the budget, emits
 //! probe events, and feeds the memo layer's cost gate, and a *fast*
 //! loop with every such site compiled out, entered only when no meter,
-//! probe, memo table, or shared serving table is armed — a state in
+//! probe, or verdict table is armed — a state in
 //! which the bookkeeping is unobservable, so the two loops are
 //! indistinguishable except in speed. See [`Library::run_vm_search`]
 //! for the entry gate.
@@ -933,21 +933,21 @@ impl Library {
     /// discipline, backtrack charges, and probe events, with handler
     /// bodies executed by [`Library::vm_exec`]. Entered below the entry
     /// boundary (`Library::run_derived_check`), which has already
-    /// charged the entry step and consulted the memo tables.
+    /// charged the entry step and consulted the verdict table.
     ///
     /// This boundary decides, once per entry, which of the two
     /// monomorphized dispatch loops runs (the `METERED` const parameter
     /// of [`Library::vm_search`]):
     ///
-    /// * the **metered** loop — whenever a meter, probe, memo table, or
-    ///   shared serving table is armed — charges the budget, emits probe
+    /// * the **metered** loop — whenever a meter, probe, or verdict
+    ///   table is armed — charges the budget, emits probe
     ///   events, and bumps `search_calls`, with the armed meter resolved
     ///   once here instead of one `RefCell` borrow per charge site;
-    /// * the **fast** loop — when none of the four is armed — compiles
+    /// * the **fast** loop — when none of the three is armed — compiles
     ///   all of that bookkeeping out. Unobservable by construction:
     ///   with no meter every charge answers `true`, with no probe every
     ///   event is dropped, and `search_calls` feeds only the memo cost
-    ///   gates and probe-armed premise deltas, all of which are off.
+    ///   gate and probe-armed premise deltas, all of which are off.
     ///   None of the conditions can change mid-call — meters and probes
     ///   arm only between top-level calls.
     pub(crate) fn run_vm_search(
@@ -971,10 +971,7 @@ impl Library {
         let refs = &buf[..args.len().min(MAX_PREMISE_ARITY)];
         let mut frames = self.take_vm_frames();
         let meter = self.active_meter();
-        let fast = meter.is_none()
-            && !self.probe_armed()
-            && !self.inner.memo_enabled.get()
-            && self.inner.shared_memo.borrow().is_none();
+        let fast = meter.is_none() && !self.probe_armed() && self.inner.memo.borrow().is_none();
         let r = if fast {
             self.vm_search::<false>(prog, &None, &mut frames, size, top, refs)
         } else {
@@ -1310,7 +1307,7 @@ impl Library {
                         // One budget step per recursion, like an entry,
                         // then the search at the decremented fuel —
                         // staying inside the VM, reusing this scratch.
-                        // Recursion skips the memo tables (see
+                        // Recursion skips the verdict table (see
                         // `Library::run_derived_check`).
                         let r = if charge_step_cached(meter) {
                             self.vm_search::<true>(prog, meter, frames, size_rem, top, refs)

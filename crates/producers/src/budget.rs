@@ -701,9 +701,37 @@ mod tests {
             }
         });
         // Every drawn-and-kept unit is accounted for, none lost or
-        // double-counted, regardless of thread interleaving.
-        assert_eq!(pool.steps_used(), 10_000);
+        // double-counted, regardless of thread interleaving. The pool
+        // need not end fully used: the first failed draw poisons it
+        // while another worker may still hold a chunk, whose unused
+        // half that worker then hands back (replayed step by step in
+        // `pool_poisoned_with_a_chunk_out_credits_the_return`).
+        let left = pool.state.steps_left.load(Ordering::Relaxed);
+        assert_eq!(pool.steps_used() + left, 10_000);
+        assert!(pool.steps_used() <= 10_000);
         assert!(pool.is_exhausted());
+    }
+
+    #[test]
+    fn pool_poisoned_with_a_chunk_out_credits_the_return() {
+        let pool = BudgetPool::new(Budget::unlimited().with_steps(100));
+        let left = || pool.state.steps_left.load(Ordering::Relaxed);
+        // Worker A holds a chunk; worker B drains the rest.
+        assert_eq!(pool.draw_steps(64), 64);
+        assert_eq!(pool.draw_steps(64), 36);
+        assert_eq!(left(), 0);
+        // B's next draw finds the pool empty and poisons it, while A
+        // still holds its chunk.
+        assert_eq!(pool.draw_steps(64), 0);
+        assert!(pool.is_exhausted());
+        // A uses 32 and returns 32: credited back, nothing lost.
+        pool.return_steps(32);
+        assert_eq!(left(), 32);
+        assert_eq!(pool.steps_used(), 68);
+        assert_eq!(pool.steps_used() + left(), 100);
+        // Poisoning is sticky: the credited steps are never drawn again.
+        assert_eq!(pool.draw_steps(1), 0);
+        assert_eq!(pool.steps_used() + left(), 100);
     }
 
     #[test]

@@ -204,3 +204,44 @@ fn memoized_stlc_suite_matches_plain() {
         "the second pass should reuse entries: {stats:?}"
     );
 }
+
+/// A session's private table is the serving table with one shard, so
+/// the shard count must not be observable: the same deterministic sweep
+/// gives the same verdicts and byte-identical counters on a one-shard
+/// `with_memo()` fork and on a fork with a 16-shard table attached.
+#[test]
+fn shard_count_is_unobservable() {
+    with_bst(|plain, _, bst, leaf, node| {
+        let mut rng = SmallRng::seed_from_u64(41);
+        let corpus: Vec<Value> = (0..120)
+            .map(|_| arbitrary_tree(leaf, node, 4, &mut rng))
+            .collect();
+        let sweep = |lib: &Library| {
+            let verdicts: Vec<Option<bool>> = [16, 64, 16]
+                .into_iter()
+                .flat_map(|fuel| {
+                    corpus.iter().map(move |t| {
+                        lib.check(bst, fuel, fuel, &[Value::nat(0), Value::nat(16), t.clone()])
+                    })
+                })
+                .collect();
+            (verdicts, lib.memo_stats())
+        };
+        let one = plain.fork().with_memo();
+        let sixteen = plain
+            .fork()
+            .with_shared_memo(std::sync::Arc::new(SharedMemo::new(
+                16,
+                indrel::core::memo::DEFAULT_CAPACITY,
+            )));
+        assert!(one.memo_enabled() && sixteen.memo_enabled());
+        let (verdicts_one, stats_one) = sweep(&one);
+        let (verdicts_sixteen, stats_sixteen) = sweep(&sixteen);
+        assert_eq!(verdicts_one, verdicts_sixteen);
+        assert_eq!(stats_one.to_json(), stats_sixteen.to_json());
+        assert!(
+            stats_one.hits > 0,
+            "the sweep must reuse entries: {stats_one}"
+        );
+    });
+}
