@@ -9,10 +9,10 @@
 //! 1. **Schema sanity** — the snapshot renders as a well-formed
 //!    `indrel.metrics/1` document with the deterministic and
 //!    wall-clock sections split.
-//! 2. **Counter coherence** — the registry's `memo.*`/`serve.*` series
-//!    agree exactly with the [`MemoStats`] the server reports; the two
-//!    renderings share one source of truth, so any drift is a bug in
-//!    the booking, not the workload.
+//! 2. **Counter coherence** — the snapshot's `memo.*` series agree
+//!    exactly with the [`MemoStats`] the server reports. Both read the
+//!    table's one set of counters, so the gate holds by construction;
+//!    drift would be a bug in the snapshot, not the workload.
 //!
 //! The workload reuses the serving benchmark's BST corpus (seeded, so
 //! reruns serve the identical request list) with a [`SearchStats`]
@@ -70,8 +70,6 @@ pub fn coherence_errors(snap: &MetricsSnapshot, stats: &MemoStats) -> Vec<String
         ("memo.insertions", stats.insertions),
         ("memo.none_skipped", stats.none_skipped),
         ("memo.full_skipped", stats.full_skipped),
-        ("serve.shed", stats.shed),
-        ("serve.retries", stats.retries),
     ];
     for (name, want) in counters {
         match snap.counter(name) {
@@ -108,7 +106,7 @@ pub fn schema_errors(snap: &MetricsSnapshot) -> Vec<String> {
         "\"deterministic\":",
         "\"wall_clock\":",
         "serve.requests",
-        "serve.latency_us",
+        "serve.latency_ns",
     ] {
         if !json.contains(key) {
             errs.push(format!("missing {key} in snapshot"));
@@ -135,6 +133,6 @@ mod tests {
                 || snap.counter("rule.bst.0.attempts").unwrap_or(0) > 0,
             "attribution series present:\n{snap}"
         );
-        assert!(snap.histogram("serve.latency_us").unwrap().count >= 64);
+        assert!(snap.histogram("serve.latency_ns").unwrap().count() >= 64);
     }
 }

@@ -45,8 +45,13 @@ pub struct ServeCase {
     pub p50_us: f64,
     /// 99th-percentile per-request latency, microseconds (best pass).
     pub p99_us: f64,
-    /// Server counters after the best pass (memo + shed/retries).
+    /// The shared table's counters after the best pass.
     pub stats: MemoStats,
+    /// Requests shed by admission control in the best pass
+    /// (`serve.shed`).
+    pub shed: u64,
+    /// Budget retries in the best pass (`serve.retries`).
+    pub retries: u64,
 }
 
 impl ServeCase {
@@ -98,7 +103,7 @@ pub(crate) fn request_corpus(requests: usize) -> (SharedLibrary, RelId, Vec<Vec<
 /// per request. Returns the wall milliseconds and how many requests
 /// came back decided; per-request latency is not timed here — the
 /// serving layer itself records every request into the server's
-/// `serve.latency_us` [`Log2Histogram`](indrel_producers::Log2Histogram),
+/// `serve.latency_ns` [`Log2Histogram`](indrel_producers::Log2Histogram),
 /// which [`scaling`] reads the percentiles from.
 fn serve_pass(
     shared: &SharedLibrary,
@@ -160,18 +165,19 @@ pub fn scaling(requests: usize, threads: &[usize], passes: usize) -> Vec<ServeCa
                 let (server, wall_ms, decided) = serve_pass(&shared, rel, &corpus, threads);
                 assert_eq!(decided, corpus.len(), "every request must decide");
                 if best.as_ref().is_none_or(|b| wall_ms < b.wall_ms) {
-                    let lat = server
-                        .snapshot()
-                        .histogram("serve.latency_us")
-                        .expect("the serving layer records every request's latency")
-                        .clone();
+                    let snap = server.snapshot();
+                    let lat = snap
+                        .histogram("serve.latency_ns")
+                        .expect("the serving layer records every request's latency");
                     best = Some(ServeCase {
                         threads,
                         requests: corpus.len(),
                         wall_ms,
-                        p50_us: lat.quantile(0.5),
-                        p99_us: lat.quantile(0.99),
+                        p50_us: lat.quantile(0.5) / 1e3,
+                        p99_us: lat.quantile(0.99) / 1e3,
                         stats: server.stats(),
+                        shed: snap.counter("serve.shed").unwrap_or(0),
+                        retries: snap.counter("serve.retries").unwrap_or(0),
                     });
                 }
             }
@@ -198,8 +204,8 @@ fn case_json(c: &ServeCase, base: f64) -> String {
         c.stats.entries,
         c.stats.hits,
         c.stats.misses,
-        c.stats.retries,
-        c.stats.shed,
+        c.retries,
+        c.shed,
     )
 }
 
@@ -235,7 +241,7 @@ mod tests {
             assert!(c.requests_per_second() > 0.0, "{c}");
             assert!(c.p99_us >= c.p50_us, "{c}");
             assert_eq!(c.stats.degraded_shards, 0, "no chaos in the bench");
-            assert_eq!(c.stats.shed, 0, "capacity covers the workers");
+            assert_eq!(c.shed, 0, "capacity covers the workers");
         }
         // 96 requests over 256 distinct trees may not repeat; reuse
         // comes from the subgoal level, which both counters see.
@@ -270,9 +276,9 @@ mod tests {
         assert_eq!(decided, corpus.len());
         let snap = server.snapshot();
         let lat = snap
-            .histogram("serve.latency_us")
+            .histogram("serve.latency_ns")
             .expect("serving layer records latency");
-        assert_eq!(lat.count, corpus.len() as u64, "one sample per request");
+        assert_eq!(lat.count(), corpus.len() as u64, "one sample per request");
         assert!(lat.quantile(0.99) >= lat.quantile(0.5));
     }
 }

@@ -122,13 +122,11 @@ fn args_match(stored: &[Value], probe: &[Value]) -> bool {
         })
 }
 
-/// Counters exposed by [`SharedMemo::stats`],
+/// The verdict table's counters, exposed by [`SharedMemo::stats`],
 /// [`Library::memo_stats`](crate::Library::memo_stats) and
-/// [`Server::stats`](crate::serve::Server::stats).
-///
-/// The table fills the first six counters and `degraded_shards`; `shed`
-/// and `retries` are request telemetry that only
-/// [`Server::stats`](crate::serve::Server::stats) fills in.
+/// [`Server::stats`](crate::serve::Server::stats). Request counts
+/// (`serve.shed`, `serve.retries`, ...) live only in the server's
+/// metrics registry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemoStats {
     /// Lookups answered from the table.
@@ -147,11 +145,6 @@ pub struct MemoStats {
     /// Shards retired after a writer panic; queries routed to them fall
     /// back to the unmemoized search.
     pub degraded_shards: u64,
-    /// Requests rejected by admission control
-    /// ([`ExecError::Overloaded`](crate::ExecError::Overloaded)).
-    pub shed: u64,
-    /// Budget-exhausted requests retried with an escalated budget.
-    pub retries: u64,
 }
 
 impl MemoStats {
@@ -162,7 +155,7 @@ impl MemoStats {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"degraded_shards\":{},\"entries\":{},\"full_skipped\":{},\"hits\":{},\
-             \"insertions\":{},\"misses\":{},\"none_skipped\":{},\"retries\":{},\"shed\":{}}}",
+             \"insertions\":{},\"misses\":{},\"none_skipped\":{}}}",
             self.degraded_shards,
             self.entries,
             self.full_skipped,
@@ -170,8 +163,6 @@ impl MemoStats {
             self.insertions,
             self.misses,
             self.none_skipped,
-            self.retries,
-            self.shed,
         )
     }
 }
@@ -188,12 +179,8 @@ impl std::fmt::Display for MemoStats {
             self.none_skipped,
             self.full_skipped,
         )?;
-        if self.degraded_shards > 0 || self.shed > 0 || self.retries > 0 {
-            write!(
-                f,
-                "; serving: {} degraded shard(s), {} shed, {} retries",
-                self.degraded_shards, self.shed, self.retries,
-            )?;
+        if self.degraded_shards > 0 {
+            write!(f, "; {} degraded shard(s)", self.degraded_shards)?;
         }
         Ok(())
     }
@@ -429,9 +416,7 @@ impl SharedMemo {
         bump(&self.shards[self.shard_for(fp)].none_skipped);
     }
 
-    /// Snapshot of the table counters, summed over the shards. `shed`
-    /// and `retries` are request telemetry and stay zero here;
-    /// [`Server::stats`](crate::serve::Server::stats) fills them in.
+    /// Snapshot of the table counters, summed over the shards.
     pub fn stats(&self) -> MemoStats {
         let sum = |f: fn(&Shard) -> &AtomicU64| -> u64 {
             self.shards
@@ -451,8 +436,6 @@ impl SharedMemo {
                 .map(|s| s.entries.load(Ordering::Relaxed))
                 .sum(),
             degraded_shards: self.degraded_count(),
-            shed: 0,
-            retries: 0,
         }
     }
 
@@ -623,8 +606,6 @@ pub(crate) mod tests {
             "insertions",
             "misses",
             "none_skipped",
-            "retries",
-            "shed",
         ];
         let mut at = 0;
         for k in keys {
@@ -635,16 +616,12 @@ pub(crate) mod tests {
         assert_eq!(j, m.stats().to_json(), "snapshot must be deterministic");
         let d = s.to_string();
         assert!(d.contains("1 insertions"), "{d}");
-        assert!(!d.contains("serving:"), "zero serve counters stay silent");
-        let served = MemoStats {
+        assert!(!d.contains("degraded"), "zero degradation stays silent");
+        let degraded = MemoStats {
             degraded_shards: 2,
-            shed: 3,
-            retries: 4,
             ..s
         };
-        assert!(served
-            .to_string()
-            .contains("2 degraded shard(s), 3 shed, 4 retries"));
+        assert!(degraded.to_string().ends_with("; 2 degraded shard(s)"));
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //!   [`Session::check_replay`].
 //! * **Observability** — every request is booked three ways: into the
 //!   server's [`MetricsRegistry`] (deterministic `serve.*` counters,
-//!   one wall-clock `serve.latency_us` histogram, snapshot with
-//!   [`Server::snapshot`]), as a wall-clock-free [`RequestSpan`] in the
+//!   one wall-clock `serve.latency_ns` histogram, snapshot with
+//!   [`Server::snapshot`] — the one home of request, shed and retry
+//!   counts), as a wall-clock-free [`RequestSpan`] in the
 //!   worker's bounded [`FlightRecorder`] ring (dumped on shard
 //!   degradation or explicitly with [`Server::dump_flight_recorder`]),
 //!   and — only when a probe is armed — as an
@@ -64,7 +65,7 @@ pub use crate::memo::SharedMemo;
 use indrel_producers::probe::Event;
 use indrel_producers::{
     json_escape, Budget, BudgetPool, Counter, Determinism, Log2Histogram, MetricsRegistry,
-    MetricsSnapshot, RequestOutcome, SearchStats,
+    MetricsSnapshot, NameTable, RequestOutcome, SearchStats,
 };
 use indrel_term::{RelId, Value};
 use rand::rngs::SmallRng;
@@ -87,7 +88,7 @@ const _: fn() = || {
 /// ended, and what it cost. Spans are deliberately wall-clock-free —
 /// every field is deterministic for a given workload, so flight-
 /// recorder dumps can be diffed across runs; latency lives only in the
-/// server's `serve.latency_us` histogram, which is marked
+/// server's `serve.latency_ns` histogram, which is marked
 /// [`Determinism::WallClock`] and excluded from byte-identity checks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RequestSpan {
@@ -270,7 +271,7 @@ const MAX_AUTO_DUMPS: usize = 4;
 
 /// The server's metrics: registry-registered counters for every
 /// deterministic serving event, plus the one wall-clock series
-/// (`serve.latency_us`). Request handling bumps the cached [`Arc`]
+/// (`serve.latency_ns`). Request handling bumps the cached [`Arc`]
 /// handles directly — the registry's lock is only taken at
 /// registration and snapshot time.
 struct Telemetry {
@@ -283,7 +284,7 @@ struct Telemetry {
     shed: Arc<Counter>,
     retries: Arc<Counter>,
     steps: Arc<Counter>,
-    latency_us: Arc<Log2Histogram>,
+    latency_ns: Arc<Log2Histogram>,
     /// Profile-guided replan passes run through [`Session::replan_hot`].
     replans: Arc<Counter>,
     /// Relations recompiled into a different plan across those passes.
@@ -305,7 +306,7 @@ impl Telemetry {
             shed: registry.counter("serve.shed", det),
             retries: registry.counter("serve.retries", det),
             steps: registry.counter("serve.steps", det),
-            latency_us: registry.histogram("serve.latency_us", Determinism::WallClock),
+            latency_ns: registry.histogram("serve.latency_ns", Determinism::WallClock),
             replans: registry.counter("plan.replans", det),
             relations_replanned: registry.counter("plan.relations_replanned", det),
             relations_kept: registry.counter("plan.relations_kept", det),
@@ -314,7 +315,7 @@ impl Telemetry {
     }
 
     /// The counter a finished request's outcome increments (shed
-    /// requests count on `serve.shed`, mirroring [`MemoStats::shed`]).
+    /// requests count on `serve.shed`).
     fn outcome(&self, outcome: RequestOutcome) -> &Counter {
         match outcome {
             RequestOutcome::True => &self.outcome_true,
@@ -334,10 +335,10 @@ struct ServerState {
     config: ServeConfig,
     inflight: AtomicUsize,
     tel: Telemetry,
-    /// Relation names indexed by `RelId::index()`, snapshotted at
-    /// construction so dumps can render names without a `Library`
-    /// (sessions are not `Send`; the server is).
-    rel_names: Vec<String>,
+    /// Relation names, snapshotted at construction so dumps can render
+    /// names without a `Library` (sessions are not `Send`; the server
+    /// is).
+    names: NameTable,
     /// Every session's flight recorder, in creation order — worker
     /// index in dumps is the position here.
     recorders: Mutex<Vec<Arc<FlightRecorder>>>,
@@ -376,15 +377,6 @@ impl ServerState {
         }
     }
 
-    /// The name snapshot for `rel`, with the same fallback the probe
-    /// name table uses for unknown ids.
-    fn rel_name(&self, rel: RelId) -> String {
-        self.rel_names
-            .get(rel.index())
-            .cloned()
-            .unwrap_or_else(|| format!("rel#{}", rel.index()))
-    }
-
     /// One JSON-lines dump of every registered flight recorder: a
     /// header object (`{"dump":"flight_recorder","reason":…}`), then
     /// each retained span with its worker coordinate, oldest first.
@@ -403,7 +395,7 @@ impl ServerState {
                 out.push_str(&format!(
                     "{{\"worker\":{},{}}}\n",
                     worker,
-                    span.fields(&self.rel_name(span.rel))
+                    span.fields(&self.names.rel(span.rel))
                 ));
             }
         }
@@ -450,16 +442,7 @@ impl Server {
     pub fn new(shared: SharedLibrary, config: ServeConfig, budget: Budget) -> Server {
         // Snapshot relation names up front: sessions (which own a
         // `Library`) are not `Send`, but the server and its dumps are.
-        let rel_names: Vec<String> = {
-            let lib = shared.fork();
-            let mut names: Vec<(usize, String)> = lib
-                .env()
-                .iter()
-                .map(|(id, r)| (id.index(), r.name().to_string()))
-                .collect();
-            names.sort_by_key(|(i, _)| *i);
-            names.into_iter().map(|(_, n)| n).collect()
-        };
+        let names = shared.fork().probe_names();
         Server {
             shared,
             state: Arc::new(ServerState {
@@ -468,7 +451,7 @@ impl Server {
                 config,
                 inflight: AtomicUsize::new(0),
                 tel: Telemetry::new(),
-                rel_names,
+                names,
                 recorders: Mutex::new(Vec::new()),
                 auto_dumps: Mutex::new(Vec::new()),
             }),
@@ -525,14 +508,10 @@ impl Server {
         }
     }
 
-    /// Combined serving counters: the shared table's counters plus the
-    /// request layer's `shed` and `retries`.
+    /// The shared verdict table's counters. Request, shed and retry
+    /// counts are in [`Server::snapshot`].
     pub fn stats(&self) -> MemoStats {
-        MemoStats {
-            shed: self.state.tel.shed.value(),
-            retries: self.state.tel.retries.value(),
-            ..self.state.memo.stats()
-        }
+        self.state.memo.stats()
     }
 
     /// The server's metrics registry, e.g. to register extra series
@@ -545,7 +524,7 @@ impl Server {
     /// shared table's counters (`memo.*`) and the instantaneous gauges
     /// (`memo.entries`, `memo.degraded_shards`, `serve.inflight`) —
     /// all deterministic; the only wall-clock series is
-    /// `serve.latency_us`. Render with
+    /// `serve.latency_ns`. Render with
     /// [`MetricsSnapshot::to_json`] (schema `indrel.metrics/1`),
     /// [`MetricsSnapshot::deterministic_json`] (byte-comparable), or
     /// [`MetricsSnapshot::to_prometheus`].
@@ -578,14 +557,15 @@ impl Server {
     pub fn snapshot_with_stats(&self, stats: &SearchStats) -> MetricsSnapshot {
         let mut snap = self.snapshot();
         let det = Determinism::Deterministic;
+        let names = &self.state.names;
         for (rel, rule, r) in stats.all_rule_stats() {
-            let name = self.rel_name(rel);
+            let name = names.rel(rel);
             snap.insert_counter(&format!("rule.{name}.{rule}.attempts"), r.attempts, det);
             snap.insert_counter(&format!("rule.{name}.{rule}.successes"), r.successes, det);
             snap.insert_counter(&format!("rule.{name}.{rule}.backtracks"), r.backtracks, det);
         }
         for (rel, rule, step, p) in stats.all_premise_stats() {
-            let name = self.rel_name(rel);
+            let name = names.rel(rel);
             snap.insert_counter(&format!("premise.{name}.{rule}.{step}.evals"), p.evals, det);
             snap.insert_counter(&format!("premise.{name}.{rule}.{step}.cost"), p.cost, det);
             snap.insert_counter(
@@ -595,10 +575,6 @@ impl Server {
             );
         }
         snap
-    }
-
-    fn rel_name(&self, rel: RelId) -> String {
-        self.state.rel_name(rel)
     }
 
     /// Renders every session's flight-recorder ring as a JSON-lines
@@ -887,8 +863,8 @@ impl Session {
             tel.outcome(span.outcome).inc();
         }
         tel.steps.add(span.steps);
-        tel.latency_us
-            .record(started.elapsed().as_micros().min(u64::MAX as u128) as u64);
+        tel.latency_ns
+            .record(started.elapsed().as_nanos().min(u64::MAX as u128) as u64);
         self.recorder.push(span);
         self.lib.probe(|| Event::Request {
             rel: span.rel,
@@ -996,7 +972,7 @@ mod tests {
         let p3 = server.try_admit().unwrap();
         drop(p2);
         drop(p3);
-        assert_eq!(server.stats().shed, 1);
+        assert_eq!(server.snapshot().counter("serve.shed"), Some(1));
     }
 
     #[test]
@@ -1044,17 +1020,13 @@ mod tests {
         };
         let server = Server::new(shared, config, Budget::unlimited());
         let session = server.session();
-        let stats = SearchStats::new();
         let args = vec![vec![Value::nat(6)]];
-        let got = {
-            let _probe = session.library().arm_probe(ExecProbe::stats(&stats));
-            session.check_batch(twin, 10, &args)
-        };
+        let got = session.check_batch(twin, 10, &args);
         // 8 steps cannot check twin 6 (2^6 leaves); retries escalated
         // until the doubled budget sufficed.
         assert_eq!(got[0], Ok(Some(true)));
-        assert!(stats.retries() > 0, "tight first budget must retry");
-        assert_eq!(server.stats().retries, stats.retries());
+        let retries = server.snapshot().counter("serve.retries").unwrap();
+        assert!(retries > 0, "tight first budget must retry");
         // The (seed, index) token replays the same escalation path.
         let replay = session.check_replay(twin, 10, &args[0], 42, 0);
         assert_eq!(replay, got[0].clone());
@@ -1071,7 +1043,7 @@ mod tests {
         let s = starved.session();
         let r = s.check_batch(shared_twin().1, 12, &[vec![Value::nat(10)]]);
         assert!(matches!(r[0], Err(ExecError::BudgetExhausted { .. })));
-        assert_eq!(starved.stats().retries, 1);
+        assert_eq!(starved.snapshot().counter("serve.retries"), Some(1));
     }
 
     #[test]
@@ -1153,6 +1125,9 @@ mod tests {
         assert_eq!(snap.counter("serve.shed"), Some(0));
         assert_eq!(snap.counter("serve.retries"), Some(0));
         assert!(snap.counter("serve.steps").unwrap() > 0);
+        let latency = snap.histogram("serve.latency_ns").unwrap();
+        assert_eq!(latency.count(), 4);
+        assert!(latency.quantile(0.5) > 0.0, "nanosecond latencies resolve");
         let m = server.stats();
         assert_eq!(snap.counter("memo.hits"), Some(m.hits));
         assert_eq!(snap.counter("memo.misses"), Some(m.misses));
@@ -1192,7 +1167,6 @@ mod tests {
         let snap = server.snapshot();
         assert_eq!(snap.counter("serve.requests"), Some(1));
         assert_eq!(snap.counter("serve.shed"), Some(1), "admission counts once");
-        assert_eq!(server.stats().shed, 1);
     }
 
     #[test]

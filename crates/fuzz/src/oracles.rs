@@ -460,16 +460,17 @@ fn executor_equivalence(
     OracleOutcome::Pass
 }
 
-/// The part of a [`SearchStats`] aggregation that does not depend on
+/// The part of a session's search telemetry that does not depend on
 /// how rules are dispatched, rendered for comparison: executor entries,
-/// memo traffic, the depth and term-size histograms, per-rule
-/// successes, and step-site unification failures. The bytecode VM and
+/// memo traffic (`memo`, the session's [`Library::memo_counts`]), the
+/// depth and term-size histograms, per-rule successes, and step-site
+/// unification failures. The bytecode VM and
 /// the plan interpreter running the same search agree on it. They
 /// differ by design everywhere else, because the interpreter is
 /// unindexed and emits no premise attribution: index skips, per-rule
 /// attempts and backtracks, input-site unification failures, and
 /// premise costs.
-pub fn dispatch_invariant_stats(s: &SearchStats) -> String {
+pub fn dispatch_invariant_stats(s: &SearchStats, memo: (u64, u64)) -> String {
     let enters =
         [ExecKind::Checker, ExecKind::Enumerator, ExecKind::Generator].map(|k| s.enters(k));
     let successes: Vec<_> = s
@@ -486,8 +487,8 @@ pub fn dispatch_invariant_stats(s: &SearchStats) -> String {
     format!(
         "enters {enters:?} memo {}/{} depth {} term_size {} successes {successes:?} \
          step_fails {step_fails:?}",
-        s.memo_hits(),
-        s.memo_misses(),
+        memo.0,
+        memo.1,
         s.depth_hist().to_json(),
         s.term_size_hist().to_json(),
     )
@@ -535,8 +536,8 @@ fn interp_vs_compiled(
         }
     }
     let (vm_json, interp_json) = (
-        dispatch_invariant_stats(&vm_stats),
-        dispatch_invariant_stats(&interp_stats),
+        dispatch_invariant_stats(&vm_stats, vm.memo_counts()),
+        dispatch_invariant_stats(&interp_stats, interp.memo_counts()),
     );
     if vm_json != interp_json {
         return OracleOutcome::Violation(format!(

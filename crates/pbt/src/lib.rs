@@ -785,7 +785,7 @@ mod tests {
     #[test]
     fn input_sizes_recorded_per_generated_tuple() {
         let r = Runner::new(5).run(10, |_, _| Some(vec![Value::nat(3)]), |_| TestOutcome::Pass);
-        assert_eq!(r.input_sizes.total(), 10);
+        assert_eq!(r.input_sizes.count(), 10);
         assert_eq!(r.input_sizes.max(), Value::nat(3).size());
     }
 

@@ -49,11 +49,11 @@ pub use checker::{backtracking, backtracking_metered, cand, cnot, cor, CheckResu
 pub use estream::{bind_ec, enumerating, EStream, Outcome};
 pub use gen::{backtrack, Gen};
 pub use metrics::{
-    Counter, Determinism, Gauge, HistogramSnapshot, Log2Histogram, MetricsRegistry, MetricsSnapshot,
+    Counter, Determinism, Gauge, Hist, Log2Histogram, MetricsRegistry, MetricsSnapshot,
 };
 pub use probe::{
-    json_escape, Event, ExecKind, ExecProbe, FailSite, Hist, NameTable, PremiseStats,
-    RequestOutcome, RuleStats, SearchStats, TraceProbe,
+    json_escape, Event, ExecKind, ExecProbe, FailSite, NameTable, PremiseStats, RequestOutcome,
+    RuleStats, SearchStats, TraceProbe,
 };
 
 /// Sequences a checker before an enumerator continuation (`bind_ce`).

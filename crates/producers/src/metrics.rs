@@ -12,13 +12,13 @@
 //!   one relaxed `fetch_add` per bump);
 //! * [`Gauge`] — a point-in-time level (in-flight requests, table
 //!   entries), a single atomic cell;
-//! * [`Log2Histogram`] — the atomic, shareable counterpart of the
-//!   probe layer's [`Hist`](crate::probe::Hist): power-of-two buckets
-//!   (bucket 0 holds the value 0, bucket `b > 0` holds
-//!   `[2^(b-1), 2^b)`), plus count/sum/max and bucket-interpolated
-//!   [`quantile`](Log2Histogram::quantile) estimates — the one
-//!   latency-percentile implementation shared by the runtime and the
-//!   serve benchmark.
+//! * [`Log2Histogram`] — an atomic, shareable histogram with
+//!   power-of-two buckets (bucket 0 holds the value 0, bucket `b > 0`
+//!   holds `[2^(b-1), 2^b)`) plus count/sum/max. It freezes into a
+//!   [`Hist`], the one histogram value type: the probe layer's depth
+//!   and term-size histograms are `Hist`s too, and
+//!   [`Hist::quantile`] is the one latency-percentile implementation
+//!   shared by the runtime and the serve benchmark.
 //!
 //! Every metric is registered with a [`Determinism`] class. The repo's
 //! standing invariant is that exports are byte-identical across runs
@@ -173,9 +173,7 @@ impl Gauge {
 /// Bucket count: bit lengths 0..=64 cover every `u64`.
 const HIST_BUCKETS: usize = 65;
 
-/// The bucket index for a sample: its bit length — the same bucketing
-/// as the probe layer's [`Hist`](crate::probe::Hist), so the two
-/// render comparably.
+/// The bucket index for a sample: its bit length.
 #[inline]
 fn bucket(v: u64) -> usize {
     (u64::BITS - v.leading_zeros()) as usize
@@ -183,12 +181,164 @@ fn bucket(v: u64) -> usize {
 
 /// The inclusive `[lo, hi]` range of bucket `b`.
 fn bucket_range(b: usize) -> (u64, u64) {
-    if b == 0 {
-        (0, 0)
-    } else if b >= 64 {
-        (1 << 63, u64::MAX)
-    } else {
-        (1 << (b - 1), (1u64 << b) - 1)
+    match b {
+        0 => (0, 0),
+        64 => (1 << 63, u64::MAX),
+        _ => (1 << (b - 1), (1u64 << b) - 1),
+    }
+}
+
+/// A histogram over `u64` samples with power-of-two buckets: bucket 0
+/// holds the value 0, bucket `b > 0` holds `[2^(b-1), 2^b)`. Compact,
+/// deterministic, and resolution-matched to term sizes, search depths
+/// and latencies. The plain value type behind the probe layer's depth
+/// and term-size histograms, the PBT runner's input sizes, and every
+/// [`Log2Histogram::snapshot`].
+///
+/// All 65 buckets are stored inline, so recording never allocates and
+/// derived equality means equal contents. The sum wraps modulo 2⁶⁴, as
+/// the atomic [`Log2Histogram`]'s does.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Hist {
+    counts: [u64; HIST_BUCKETS],
+    count: u64,
+    sum: u64,
+    max: u64,
+}
+
+impl Default for Hist {
+    fn default() -> Hist {
+        Hist {
+            counts: [0; HIST_BUCKETS],
+            count: 0,
+            sum: 0,
+            max: 0,
+        }
+    }
+}
+
+impl Hist {
+    /// Records one sample.
+    pub fn record(&mut self, v: u64) {
+        self.counts[bucket(v)] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(v);
+        self.max = self.max.max(v);
+    }
+
+    /// Number of samples recorded.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Sum of all samples (modulo 2⁶⁴).
+    pub fn sum(&self) -> u64 {
+        self.sum
+    }
+
+    /// Largest sample recorded (0 when empty).
+    pub fn max(&self) -> u64 {
+        self.max
+    }
+
+    /// Mean sample (0 when empty).
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.count as f64
+        }
+    }
+
+    /// Folds another histogram into this one: bucket counts, counts,
+    /// and sums add; maxima take the larger. Merging is associative and
+    /// commutative, so per-worker histograms combine into the same
+    /// aggregate regardless of merge order.
+    pub fn merge(&mut self, other: &Hist) {
+        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
+            *c += o;
+        }
+        self.count += other.count;
+        self.sum = self.sum.wrapping_add(other.sum);
+        self.max = self.max.max(other.max);
+    }
+
+    /// Non-empty buckets as `(lo, hi, count)`, ascending.
+    pub fn buckets(&self) -> Vec<(u64, u64, u64)> {
+        self.counts
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| **c > 0)
+            .map(|(b, c)| {
+                let (lo, hi) = bucket_range(b);
+                (lo, hi, *c)
+            })
+            .collect()
+    }
+
+    /// Nearest-rank quantile with linear interpolation inside the
+    /// landing bucket, clamped to the observed max. `q` is a fraction
+    /// (`0.5` = median, `0.99` = p99); returns 0 for an empty
+    /// histogram. Log₂ buckets bound the relative error by 2×, which
+    /// is the resolution the serve benchmark reports at.
+    pub fn quantile(&self, q: f64) -> f64 {
+        if self.count == 0 {
+            return 0.0;
+        }
+        let rank = (q.clamp(0.0, 1.0) * (self.count - 1) as f64).round() as u64;
+        let mut seen = 0u64;
+        for (lo, hi, c) in self.buckets() {
+            if rank < seen + c {
+                let frac = (rank - seen) as f64 / c as f64;
+                let est = lo as f64 + frac * (hi - lo) as f64;
+                return est.min(self.max as f64);
+            }
+            seen += c;
+        }
+        self.max as f64
+    }
+
+    /// Deterministic JSON: totals plus the non-empty buckets.
+    pub fn to_json(&self) -> String {
+        let buckets: Vec<String> = self
+            .buckets()
+            .into_iter()
+            .map(|(lo, hi, c)| format!(r#"{{"lo":{lo},"hi":{hi},"count":{c}}}"#))
+            .collect();
+        format!(
+            r#"{{"count":{},"sum":{},"max":{},"buckets":[{}]}}"#,
+            self.count,
+            self.sum,
+            self.max,
+            buckets.join(",")
+        )
+    }
+}
+
+impl fmt::Display for Hist {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.count == 0 {
+            return f.write_str("(empty)");
+        }
+        let parts: Vec<String> = self
+            .buckets()
+            .into_iter()
+            .map(|(lo, hi, c)| {
+                if lo == hi {
+                    format!("{lo}:{c}")
+                } else {
+                    format!("{lo}-{hi}:{c}")
+                }
+            })
+            .collect();
+        write!(
+            f,
+            "{} (n={}, mean {:.1}, max {})",
+            parts.join(" "),
+            self.count,
+            self.mean(),
+            self.max
+        )
     }
 }
 
@@ -237,13 +387,9 @@ impl Log2Histogram {
     /// A consistent-enough copy for export (bucket counts are read
     /// relaxed; concurrent recorders may be mid-update, which skews a
     /// snapshot by at most the in-flight samples).
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
+    pub fn snapshot(&self) -> Hist {
+        Hist {
+            counts: std::array::from_fn(|b| self.buckets[b].load(Ordering::Relaxed)),
             count: self.count.load(Ordering::Relaxed),
             sum: self.sum.load(Ordering::Relaxed),
             max: self.max.load(Ordering::Relaxed),
@@ -251,88 +397,9 @@ impl Log2Histogram {
     }
 
     /// Bucket-interpolated quantile estimate (`q` in `[0, 1]`); see
-    /// [`HistogramSnapshot::quantile`].
+    /// [`Hist::quantile`].
     pub fn quantile(&self, q: f64) -> f64 {
         self.snapshot().quantile(q)
-    }
-}
-
-/// A frozen [`Log2Histogram`]: what snapshots and exports carry.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    buckets: Vec<u64>,
-    /// Samples recorded.
-    pub count: u64,
-    /// Sum of all samples.
-    pub sum: u64,
-    /// Largest sample (0 when empty).
-    pub max: u64,
-}
-
-impl HistogramSnapshot {
-    /// Non-empty buckets as `(lo, hi, count)`, ascending.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c > 0)
-            .map(|(b, c)| {
-                let (lo, hi) = bucket_range(b);
-                (lo, hi, *c)
-            })
-            .collect()
-    }
-
-    /// Mean sample (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Nearest-rank quantile with linear interpolation inside the
-    /// landing bucket, clamped to the observed max. `q` is a fraction
-    /// (`0.5` = median, `0.99` = p99); returns 0 for an empty
-    /// histogram. Log₂ buckets bound the relative error by 2×, which
-    /// is the resolution the serve benchmark reports at.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * (self.count - 1) as f64).round() as u64;
-        let mut seen = 0u64;
-        for (b, &c) in self.buckets.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if rank < seen + c {
-                let (lo, hi) = bucket_range(b);
-                let frac = (rank - seen) as f64 / c as f64;
-                let est = lo as f64 + frac * (hi - lo) as f64;
-                return est.min(self.max as f64);
-            }
-            seen += c;
-        }
-        self.max as f64
-    }
-
-    /// Deterministic JSON: totals plus the non-empty buckets, the same
-    /// shape as [`Hist::to_json`](crate::probe::Hist::to_json).
-    pub fn to_json(&self) -> String {
-        let buckets: Vec<String> = self
-            .nonzero_buckets()
-            .into_iter()
-            .map(|(lo, hi, c)| format!(r#"{{"lo":{lo},"hi":{hi},"count":{c}}}"#))
-            .collect();
-        format!(
-            r#"{{"count":{},"sum":{},"max":{},"buckets":[{}]}}"#,
-            self.count,
-            self.sum,
-            self.max,
-            buckets.join(",")
-        )
     }
 }
 
@@ -432,7 +499,7 @@ impl fmt::Debug for MetricsRegistry {
 pub struct MetricsSnapshot {
     counters: BTreeMap<String, (u64, Determinism)>,
     gauges: BTreeMap<String, (u64, Determinism)>,
-    histograms: BTreeMap<String, (HistogramSnapshot, Determinism)>,
+    histograms: BTreeMap<String, (Hist, Determinism)>,
 }
 
 impl MetricsSnapshot {
@@ -452,7 +519,7 @@ impl MetricsSnapshot {
     }
 
     /// Adds (or replaces) a histogram.
-    pub fn insert_histogram(&mut self, name: &str, h: HistogramSnapshot, det: Determinism) {
+    pub fn insert_histogram(&mut self, name: &str, h: Hist, det: Determinism) {
         self.histograms.insert(name.to_string(), (h, det));
     }
 
@@ -467,7 +534,7 @@ impl MetricsSnapshot {
     }
 
     /// Reads back a histogram by name.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
+    pub fn histogram(&self, name: &str) -> Option<&Hist> {
         self.histograms.get(name).map(|(h, _)| h)
     }
 
@@ -542,12 +609,12 @@ impl MetricsSnapshot {
             let n = sanitize(name);
             out.push_str(&format!("# TYPE {n} histogram\n"));
             let mut cumulative = 0u64;
-            for (_, hi, c) in h.nonzero_buckets() {
+            for (_, hi, c) in h.buckets() {
                 cumulative += c;
                 out.push_str(&format!("{n}_bucket{{le=\"{hi}\"}} {cumulative}\n"));
             }
-            out.push_str(&format!("{n}_bucket{{le=\"+Inf\"}} {}\n", h.count));
-            out.push_str(&format!("{n}_sum {}\n{n}_count {}\n", h.sum, h.count));
+            out.push_str(&format!("{n}_bucket{{le=\"+Inf\"}} {}\n", h.count()));
+            out.push_str(&format!("{n}_sum {}\n{n}_count {}\n", h.sum(), h.count()));
         }
         out
     }
@@ -572,11 +639,11 @@ impl fmt::Display for MetricsSnapshot {
             writeln!(
                 f,
                 "  {name:<40} n={} mean={:.1} p50={:.1} p99={:.1} max={}  [{}]",
-                h.count,
+                h.count(),
                 h.mean(),
                 h.quantile(0.5),
                 h.quantile(0.99),
-                h.max,
+                h.max(),
                 det.label()
             )?;
         }
@@ -623,17 +690,24 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_match_hist_semantics() {
-        let h = Log2Histogram::new();
-        for v in [0, 0, 1, 2, 3, 4, 7, 8, 100] {
+    fn hist_buckets_are_powers_of_two() {
+        let samples = [0, 0, 1, 2, 3, 4, 7, 8, 100];
+        let mut h = Hist::default();
+        let atomic = Log2Histogram::new();
+        for v in samples {
             h.record(v);
+            atomic.record(v);
         }
-        let s = h.snapshot();
-        assert_eq!(s.count, 9);
-        assert_eq!(s.sum, 125);
-        assert_eq!(s.max, 100);
         assert_eq!(
-            s.nonzero_buckets(),
+            atomic.snapshot(),
+            h,
+            "the atomic form freezes into the same value"
+        );
+        assert_eq!(h.count(), 9);
+        assert_eq!(h.sum(), 125);
+        assert_eq!(h.max(), 100);
+        assert_eq!(
+            h.buckets(),
             vec![
                 (0, 0, 2),
                 (1, 1, 1),
@@ -643,9 +717,48 @@ mod tests {
                 (64, 127, 1)
             ]
         );
-        assert!(s
+        assert!(h
             .to_json()
             .starts_with(r#"{"count":9,"sum":125,"max":100,"#));
+        assert_eq!(format!("{}", Hist::default()), "(empty)");
+        assert_eq!(Hist::default().mean(), 0.0);
+        // The top bucket holds [2^63, u64::MAX]; the sum wraps.
+        h.record(u64::MAX);
+        atomic.record(u64::MAX);
+        assert_eq!(atomic.snapshot(), h);
+        assert_eq!(h.buckets().last(), Some(&(1 << 63, u64::MAX, 1)));
+        assert!(h
+            .to_json()
+            .ends_with(r#"{"lo":9223372036854775808,"hi":18446744073709551615,"count":1}]}"#));
+        assert!(h
+            .to_string()
+            .contains("9223372036854775808-18446744073709551615:1"));
+    }
+
+    #[test]
+    fn hist_merge_is_associative() {
+        let mut a = Hist::default();
+        let mut b = Hist::default();
+        let mut c = Hist::default();
+        for v in [0, 1, 2] {
+            a.record(v);
+        }
+        for v in [3, 100] {
+            b.record(v);
+        }
+        c.record(7);
+        // (a ⊕ b) ⊕ c == a ⊕ (b ⊕ c)
+        let mut ab_c = a.clone();
+        ab_c.merge(&b);
+        ab_c.merge(&c);
+        let mut bc = b.clone();
+        bc.merge(&c);
+        let mut a_bc = a.clone();
+        a_bc.merge(&bc);
+        assert_eq!(ab_c, a_bc);
+        assert_eq!(ab_c.count(), 6);
+        assert_eq!(ab_c.max(), 100);
+        assert_eq!(ab_c.to_json(), a_bc.to_json());
     }
 
     #[test]
@@ -674,12 +787,12 @@ mod tests {
         assert_eq!(a.value(), 2, "same cell under one name");
         reg.gauge("serve.inflight", Determinism::Deterministic)
             .set(3);
-        reg.histogram("serve.latency_us", Determinism::WallClock)
+        reg.histogram("serve.latency_ns", Determinism::WallClock)
             .record(150);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("serve.requests"), Some(2));
         assert_eq!(snap.gauge("serve.inflight"), Some(3));
-        assert_eq!(snap.histogram("serve.latency_us").unwrap().count, 1);
+        assert_eq!(snap.histogram("serve.latency_ns").unwrap().count(), 1);
     }
 
     #[test]
@@ -689,12 +802,12 @@ mod tests {
             .add(7);
         reg.counter("serve.memo.hits", Determinism::Deterministic)
             .add(4);
-        reg.histogram("serve.latency_us", Determinism::WallClock)
+        reg.histogram("serve.latency_ns", Determinism::WallClock)
             .record(99);
         let snap = reg.snapshot();
         let full = snap.to_json();
         assert!(full.starts_with(r#"{"schema":"indrel.metrics/1","deterministic":"#));
-        assert!(full.contains(r#""serve.latency_us":{"count":1"#), "{full}");
+        assert!(full.contains(r#""serve.latency_ns":{"count":1"#), "{full}");
         // Sorted keys: memo.hits before requests.
         let hits = full.find("serve.memo.hits").unwrap();
         let reqs = full.find("serve.requests").unwrap();
@@ -713,15 +826,15 @@ mod tests {
             .add(5);
         reg.gauge("serve.inflight", Determinism::Deterministic)
             .set(2);
-        let h = reg.histogram("serve.latency_us", Determinism::WallClock);
+        let h = reg.histogram("serve.latency_ns", Determinism::WallClock);
         h.record(3);
         h.record(12);
         let text = reg.snapshot().to_prometheus();
         assert!(text.contains("# TYPE serve_requests counter\nserve_requests 5\n"));
         assert!(text.contains("# TYPE serve_inflight gauge\nserve_inflight 2\n"));
-        assert!(text.contains("# TYPE serve_latency_us histogram\n"));
-        assert!(text.contains("serve_latency_us_bucket{le=\"+Inf\"} 2\n"));
-        assert!(text.contains("serve_latency_us_sum 15\nserve_latency_us_count 2\n"));
+        assert!(text.contains("# TYPE serve_latency_ns histogram\n"));
+        assert!(text.contains("serve_latency_ns_bucket{le=\"+Inf\"} 2\n"));
+        assert!(text.contains("serve_latency_ns_sum 15\nserve_latency_ns_count 2\n"));
     }
 
     #[test]

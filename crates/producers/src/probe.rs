@@ -27,6 +27,7 @@
 //! [`Meter`]: crate::budget::Meter
 //! [`Display`]: std::fmt::Display
 
+use crate::metrics::Hist;
 use indrel_term::RelId;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -300,133 +301,6 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// A histogram over `u64` samples with power-of-two buckets: bucket 0
-/// holds the value 0, bucket `b > 0` holds `[2^(b-1), 2^b)`. Compact,
-/// deterministic, and resolution-matched to term sizes and search
-/// depths.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Hist {
-    counts: Vec<u64>,
-    total: u64,
-    sum: u64,
-    max: u64,
-}
-
-/// The bucket index for a sample: its bit length.
-fn bucket(v: u64) -> usize {
-    (u64::BITS - v.leading_zeros()) as usize
-}
-
-/// The inclusive `[lo, hi]` range of bucket `b`.
-fn bucket_range(b: usize) -> (u64, u64) {
-    if b == 0 {
-        (0, 0)
-    } else {
-        (1 << (b - 1), (1u64 << b) - 1)
-    }
-}
-
-impl Hist {
-    /// Records one sample.
-    pub fn record(&mut self, v: u64) {
-        let b = bucket(v);
-        if self.counts.len() <= b {
-            self.counts.resize(b + 1, 0);
-        }
-        self.counts[b] += 1;
-        self.total += 1;
-        self.sum += v;
-        self.max = self.max.max(v);
-    }
-
-    /// Number of samples recorded.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Largest sample recorded (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean sample (NaN when empty).
-    pub fn mean(&self) -> f64 {
-        self.sum as f64 / self.total as f64
-    }
-
-    /// Folds another histogram into this one: bucket counts, totals,
-    /// and sums add; maxima take the larger. Merging is associative and
-    /// commutative, so per-worker histograms combine into the same
-    /// aggregate regardless of merge order.
-    pub fn merge(&mut self, other: &Hist) {
-        if self.counts.len() < other.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
-            *c += o;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
-
-    /// Non-empty buckets as `(lo, hi, count)`, ascending.
-    pub fn buckets(&self) -> Vec<(u64, u64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c > 0)
-            .map(|(b, c)| {
-                let (lo, hi) = bucket_range(b);
-                (lo, hi, *c)
-            })
-            .collect()
-    }
-
-    /// Deterministic JSON: totals plus the non-empty buckets.
-    pub fn to_json(&self) -> String {
-        let buckets: Vec<String> = self
-            .buckets()
-            .into_iter()
-            .map(|(lo, hi, c)| format!(r#"{{"lo":{lo},"hi":{hi},"count":{c}}}"#))
-            .collect();
-        format!(
-            r#"{{"total":{},"sum":{},"max":{},"buckets":[{}]}}"#,
-            self.total,
-            self.sum,
-            self.max,
-            buckets.join(",")
-        )
-    }
-}
-
-impl fmt::Display for Hist {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.total == 0 {
-            return f.write_str("(empty)");
-        }
-        let parts: Vec<String> = self
-            .buckets()
-            .into_iter()
-            .map(|(lo, hi, c)| {
-                if lo == hi {
-                    format!("{lo}:{c}")
-                } else {
-                    format!("{lo}-{hi}:{c}")
-                }
-            })
-            .collect();
-        write!(
-            f,
-            "{} (n={}, mean {:.1}, max {})",
-            parts.join(" "),
-            self.total,
-            self.mean(),
-            self.max
-        )
-    }
-}
-
 /// Per-rule counters accumulated by [`SearchStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RuleStats {
@@ -488,20 +362,8 @@ struct StatsState {
     depths: Hist,
     term_sizes: Hist,
     events: u64,
-    memo_hits: u64,
-    memo_misses: u64,
     /// Total rules pruned by the dispatch index (sum of `skipped`).
     index_skipped: u64,
-    /// Serving-layer requests rejected by admission control.
-    shed: u64,
-    /// Serving-layer retries after budget exhaustion.
-    retries: u64,
-    /// Concurrent-memo shards retired after writer panics.
-    shards_degraded: u64,
-    /// Serving-layer requests completed (any outcome).
-    requests: u64,
-    /// Relations recompiled into a different plan by the replanner.
-    replans: u64,
 }
 
 /// An aggregating probe: counters and histograms over the whole search,
@@ -512,6 +374,11 @@ struct StatsState {
 /// accumulator and fold them together with [`SearchStats::merge_from`]
 /// rather than sharing one sink — that keeps the hot path uncontended
 /// and the aggregate deterministic.
+///
+/// It counts only what a probe alone can see. Events that another layer
+/// already counts (memo hits and misses, serving requests, retries,
+/// sheds, degraded shards, replans) add to [`SearchStats::events`] and
+/// nothing else.
 #[derive(Clone, Debug, Default)]
 pub struct SearchStats {
     state: Arc<Mutex<StatsState>>,
@@ -561,13 +428,7 @@ impl SearchStats {
             Event::TermProduced { size, .. } => {
                 s.term_sizes.record(size);
             }
-            Event::MemoHit { .. } => s.memo_hits += 1,
-            Event::MemoMiss { .. } => s.memo_misses += 1,
             Event::IndexSkip { skipped, .. } => s.index_skipped += u64::from(skipped),
-            Event::Shed { .. } => s.shed += 1,
-            Event::Retry { .. } => s.retries += 1,
-            Event::ShardDegraded { .. } => s.shards_degraded += 1,
-            Event::Request { .. } => s.requests += 1,
             Event::Premise {
                 rel,
                 rule,
@@ -583,7 +444,15 @@ impl SearchStats {
                 p.cost += cost;
                 p.failures += u64::from(failed);
             }
-            Event::Replanned { .. } => s.replans += 1,
+            // Counted once, by the layer that owns the event: the memo
+            // table, the server's registry, or the replan report.
+            Event::MemoHit { .. }
+            | Event::MemoMiss { .. }
+            | Event::Shed { .. }
+            | Event::Retry { .. }
+            | Event::ShardDegraded { .. }
+            | Event::Request { .. }
+            | Event::Replanned { .. } => {}
         }
     }
 
@@ -604,10 +473,8 @@ impl SearchStats {
                 o.depths.clone(),
                 o.term_sizes.clone(),
                 o.events,
-                (o.memo_hits, o.memo_misses, o.index_skipped),
-                (o.shed, o.retries, o.shards_degraded, o.requests),
+                o.index_skipped,
                 o.premises.clone(),
-                o.replans,
             )
         };
         let mut s = lock(&self.state);
@@ -626,20 +493,13 @@ impl SearchStats {
         s.depths.merge(&snap.3);
         s.term_sizes.merge(&snap.4);
         s.events += snap.5;
-        s.memo_hits += snap.6 .0;
-        s.memo_misses += snap.6 .1;
-        s.index_skipped += snap.6 .2;
-        s.shed += snap.7 .0;
-        s.retries += snap.7 .1;
-        s.shards_degraded += snap.7 .2;
-        s.requests += snap.7 .3;
-        for (key, p) in snap.8 {
+        s.index_skipped += snap.6;
+        for (key, p) in snap.7 {
             let dst = s.premises.entry(key).or_default();
             dst.evals += p.evals;
             dst.cost += p.cost;
             dst.failures += p.failures;
         }
-        s.replans += snap.9;
     }
 
     /// Total events recorded.
@@ -679,45 +539,10 @@ impl SearchStats {
         lock(&self.state).fails.values().sum()
     }
 
-    /// Tabling lookups answered from the cache.
-    pub fn memo_hits(&self) -> u64 {
-        lock(&self.state).memo_hits
-    }
-
-    /// Tabling lookups that fell through to the full search.
-    pub fn memo_misses(&self) -> u64 {
-        lock(&self.state).memo_misses
-    }
-
     /// Rules pruned by the constructor dispatch index (summed over all
     /// checker entries).
     pub fn index_skipped(&self) -> u64 {
         lock(&self.state).index_skipped
-    }
-
-    /// Serving-layer requests rejected by admission control.
-    pub fn shed(&self) -> u64 {
-        lock(&self.state).shed
-    }
-
-    /// Serving-layer retries after budget exhaustion.
-    pub fn retries(&self) -> u64 {
-        lock(&self.state).retries
-    }
-
-    /// Concurrent-memo shards retired after writer panics.
-    pub fn shards_degraded(&self) -> u64 {
-        lock(&self.state).shards_degraded
-    }
-
-    /// Serving-layer requests completed (any outcome).
-    pub fn requests(&self) -> u64 {
-        lock(&self.state).requests
-    }
-
-    /// Relations the replanner recompiled into a different plan.
-    pub fn replans(&self) -> u64 {
-        lock(&self.state).replans
     }
 
     /// Premise cost attribution for one relation, as
@@ -858,10 +683,7 @@ impl SearchStats {
             concat!(
                 r#"{{"events":{},"#,
                 r#""enters":{{"checker":{},"enumerator":{},"generator":{}}},"#,
-                r#""memo":{{"hits":{},"misses":{}}},"#,
                 r#""index_skipped":{},"#,
-                r#""serve":{{"requests":{},"retries":{},"shards_degraded":{},"shed":{}}},"#,
-                r#""plan":{{"replans":{}}},"#,
                 r#""rules":[{}],"#,
                 r#""unify_fails":[{}],"#,
                 r#""premises":[{}],"#,
@@ -872,14 +694,7 @@ impl SearchStats {
             s.enters[ExecKind::Checker as usize],
             s.enters[ExecKind::Enumerator as usize],
             s.enters[ExecKind::Generator as usize],
-            s.memo_hits,
-            s.memo_misses,
             s.index_skipped,
-            s.requests,
-            s.retries,
-            s.shards_degraded,
-            s.shed,
-            s.replans,
             rules.join(","),
             fails.join(","),
             premises.join(","),
@@ -916,22 +731,8 @@ impl fmt::Display for SearchStats {
                 r.backtracks
             )?;
         }
-        if s.memo_hits + s.memo_misses + s.index_skipped > 0 {
-            writeln!(
-                f,
-                "  memo: {} hits / {} misses; index pruned {} rules",
-                s.memo_hits, s.memo_misses, s.index_skipped
-            )?;
-        }
-        if s.requests + s.shed + s.retries + s.shards_degraded > 0 {
-            writeln!(
-                f,
-                "  serve: {} requests / {} shed / {} retries / {} degraded shard(s)",
-                s.requests, s.shed, s.retries, s.shards_degraded
-            )?;
-        }
-        if s.replans > 0 {
-            writeln!(f, "  plan: {} relation(s) replanned", s.replans)?;
+        if s.index_skipped > 0 {
+            writeln!(f, "  index pruned {} rules", s.index_skipped)?;
         }
         if !s.premises.is_empty() {
             writeln!(
@@ -1247,31 +1048,6 @@ mod tests {
     }
 
     #[test]
-    fn hist_buckets_are_powers_of_two() {
-        let mut h = Hist::default();
-        for v in [0, 0, 1, 2, 3, 4, 7, 8, 100] {
-            h.record(v);
-        }
-        assert_eq!(h.total(), 9);
-        assert_eq!(h.max(), 100);
-        assert_eq!(
-            h.buckets(),
-            vec![
-                (0, 0, 2),
-                (1, 1, 1),
-                (2, 3, 2),
-                (4, 7, 2),
-                (8, 15, 1),
-                (64, 127, 1)
-            ]
-        );
-        assert!(h
-            .to_json()
-            .starts_with(r#"{"total":9,"sum":125,"max":100,"#));
-        assert_eq!(format!("{}", Hist::default()), "(empty)");
-    }
-
-    #[test]
     fn stats_accumulate_and_export_deterministically() {
         let stats = SearchStats::new();
         stats.set_names(names());
@@ -1295,9 +1071,7 @@ mod tests {
         stats.record(Event::MemoHit { rel });
         stats.record(Event::MemoHit { rel });
         stats.record(Event::IndexSkip { rel, skipped: 3 });
-        assert_eq!(stats.events(), 11);
-        assert_eq!(stats.memo_hits(), 2);
-        assert_eq!(stats.memo_misses(), 1);
+        assert_eq!(stats.events(), 11, "memo events count as events only");
         assert_eq!(stats.index_skipped(), 3);
         assert_eq!(stats.total_attempts(), 2);
         assert_eq!(stats.total_successes(), 1);
@@ -1312,7 +1086,8 @@ mod tests {
         let json = stats.to_json();
         assert!(json.contains(r#""rel":"bst","rule":"bst_node","attempts":1,"successes":1"#));
         assert!(json.contains(r#""site":"inputs","count":1"#));
-        assert!(json.contains(r#""memo":{"hits":2,"misses":1},"index_skipped":3"#));
+        assert!(json.contains(r#""index_skipped":3,"rules""#), "{json}");
+        assert!(!json.contains("memo"), "{json}");
         assert_eq!(json, stats.to_json(), "export is stable");
         let table = stats.to_string();
         assert!(table.contains("bst.bst_node"));
@@ -1361,32 +1136,6 @@ mod tests {
             rule: 0,
         });
         assert_eq!(stats.total_attempts(), 1, "NoProbe records nothing");
-    }
-
-    #[test]
-    fn hist_merge_is_associative() {
-        let mut a = Hist::default();
-        let mut b = Hist::default();
-        let mut c = Hist::default();
-        for v in [0, 1, 2] {
-            a.record(v);
-        }
-        for v in [3, 100] {
-            b.record(v);
-        }
-        c.record(7);
-        // (a ⊕ b) ⊕ c == a ⊕ (b ⊕ c)
-        let mut ab_c = a.clone();
-        ab_c.merge(&b);
-        ab_c.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut a_bc = a.clone();
-        a_bc.merge(&bc);
-        assert_eq!(ab_c, a_bc);
-        assert_eq!(ab_c.total(), 6);
-        assert_eq!(ab_c.max(), 100);
-        assert_eq!(ab_c.to_json(), a_bc.to_json());
     }
 
     #[test]
@@ -1445,33 +1194,10 @@ mod tests {
     }
 
     #[test]
-    fn serve_events_count_and_export() {
-        let stats = SearchStats::new();
-        stats.set_names(names());
-        let rel = RelId::new(0);
-        stats.record(Event::Shed { rel });
-        stats.record(Event::Shed { rel });
-        stats.record(Event::Retry { rel, attempt: 1 });
-        stats.record(Event::ShardDegraded { shard: 5 });
-        assert_eq!(stats.shed(), 2);
-        assert_eq!(stats.retries(), 1);
-        assert_eq!(stats.shards_degraded(), 1);
-        let json = stats.to_json();
-        assert!(
-            json.contains(r#""serve":{"requests":0,"retries":1,"shards_degraded":1,"shed":2}"#),
-            "{json}"
-        );
-        assert!(stats
-            .to_string()
-            .contains("serve: 0 requests / 2 shed / 1 retries"));
-        // Merging folds the serve counters like every other counter.
-        let other = SearchStats::new();
-        other.record(Event::Retry { rel, attempt: 2 });
-        stats.merge_from(&other);
-        assert_eq!(stats.retries(), 2);
-        // Trace export renders each variant.
+    fn serve_events_export() {
         let trace = TraceProbe::new(8);
         trace.set_names(names());
+        let rel = RelId::new(0);
         trace.record(Event::Shed { rel });
         trace.record(Event::Retry { rel, attempt: 3 });
         trace.record(Event::ShardDegraded { shard: 7 });
@@ -1482,17 +1208,10 @@ mod tests {
     }
 
     #[test]
-    fn request_and_premise_events_accumulate_and_export() {
+    fn premise_events_accumulate_and_request_events_export() {
         let stats = SearchStats::new();
         stats.set_names(names());
         let rel = RelId::new(0);
-        stats.record(Event::Request {
-            rel,
-            index: 3,
-            outcome: RequestOutcome::True,
-            attempts: 1,
-            steps: 40,
-        });
         stats.record(Event::Premise {
             rel,
             rule: 1,
@@ -1507,7 +1226,6 @@ mod tests {
             cost: 7,
             failed: true,
         });
-        assert_eq!(stats.requests(), 1);
         let ps = stats.premise_stats(rel);
         assert_eq!(
             ps,
@@ -1526,17 +1244,13 @@ mod tests {
         assert_eq!(ps[0].2.failure_rate(), 0.5);
         let json = stats.to_json();
         assert!(
-            json.contains(r#""serve":{"requests":1,"retries":0,"shards_degraded":0,"shed":0}"#),
-            "{json}"
-        );
-        assert!(
             json.contains(
                 r#""premises":[{"rel":"bst","rule":"bst_node","step":2,"evals":2,"cost":12,"failures":1}]"#
             ),
             "{json}"
         );
         assert!(stats.to_string().contains("bst.bst_node[step2]"), "{stats}");
-        // Merging folds premises and requests like every other counter.
+        // Merging folds premises like every other counter.
         let other = SearchStats::new();
         other.record(Event::Premise {
             rel,
@@ -1545,15 +1259,7 @@ mod tests {
             cost: 3,
             failed: false,
         });
-        other.record(Event::Request {
-            rel,
-            index: 4,
-            outcome: RequestOutcome::Shed,
-            attempts: 0,
-            steps: 0,
-        });
         stats.merge_from(&other);
-        assert_eq!(stats.requests(), 2);
         assert_eq!(stats.premise_stats(rel)[0].2.cost, 15);
         // Trace export renders both variants.
         let trace = TraceProbe::new(8);

@@ -81,7 +81,7 @@ pub mod prelude {
     };
     pub use indrel_pbt::{Labels, Parallelism, RunReport, Runner, TestOutcome};
     pub use indrel_producers::{
-        backtracking, bind_ec, cand, cnot, Counter, Determinism, EStream, Gauge, HistogramSnapshot,
+        backtracking, bind_ec, cand, cnot, Counter, Determinism, EStream, Gauge, Hist,
         Log2Histogram, MetricsRegistry, MetricsSnapshot, Outcome, RequestOutcome,
     };
     pub use indrel_rel::parse::{parse_program, parse_relation};

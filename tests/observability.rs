@@ -7,6 +7,7 @@
 
 use indrel::pbt::chaos::{silence_panics, Chaos};
 use indrel::prelude::*;
+use indrel::producers::Event;
 use indrel::term::enumerate::tuples_up_to;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -279,9 +280,10 @@ fn serve_shared() -> (SharedLibrary, RelId) {
 
 /// One serving run: warm the shared table to its fixpoint
 /// single-threaded, optionally retire one shard, then serve the corpus
-/// at `threads` workers (optionally with a `SearchStats` probe armed on
-/// every session). Returns the per-request verdicts (corpus order), the
-/// deterministic metrics JSON, and the probe's request count.
+/// at `threads` workers (optionally with a `SearchStats` and trace probe
+/// armed on every session). Returns the per-request verdicts (corpus
+/// order), the deterministic metrics JSON, and the number of
+/// `Event::Request`s the trace saw.
 fn serve_run(
     threads: usize,
     armed: bool,
@@ -306,14 +308,16 @@ fn serve_run(
         assert_eq!(server.memo().lookup(even, fp, &[Value::nat(0)], 1, 1), None);
     }
     let stats = SearchStats::new();
+    let trace = TraceProbe::new(1 << 16);
+    let probe = ExecProbe::both(&stats, &trace);
     type Slot = std::sync::Mutex<Option<Result<Option<bool>, ExecError>>>;
     let results: Vec<Slot> = corpus.iter().map(|_| std::sync::Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for t in 0..threads {
-            let (server, corpus, results, stats) = (&server, &corpus, &results, &stats);
+            let (server, corpus, results, probe) = (&server, &corpus, &results, &probe);
             scope.spawn(move || {
                 let session = server.session();
-                let _probe = armed.then(|| session.library().arm_probe(ExecProbe::stats(stats)));
+                let _probe = armed.then(|| session.library().arm_probe(probe.clone()));
                 for (i, args) in corpus.iter().enumerate() {
                     if i % threads == t {
                         let r = session.check_batch(even, 30, std::slice::from_ref(args));
@@ -327,10 +331,20 @@ fn serve_run(
         .into_iter()
         .map(|slot| slot.into_inner().unwrap().expect("request served"))
         .collect();
+    assert_eq!(
+        trace.dropped(),
+        0,
+        "the ring holds the whole measured phase"
+    );
+    let requests = trace
+        .events()
+        .iter()
+        .filter(|e| matches!(e, Event::Request { .. }))
+        .count();
     (
         verdicts,
         server.snapshot().deterministic_json(),
-        stats.requests(),
+        requests as u64,
     )
 }
 

@@ -6,6 +6,7 @@
 //! planner provably reorders — all pinned end to end.
 
 use indrel::prelude::*;
+use indrel::producers::Event;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -63,20 +64,20 @@ fn adversarial_replan_reorders_and_explains() {
     let stats = profile(&lib, good, &adversarial_tuples());
 
     // The replan itself is observable: a probe armed on the *source*
-    // session sees one `Replanned` event, exported under `"plan"`.
-    let replan_stats = SearchStats::new();
+    // session sees one `Replanned` event for the changed relation.
+    let trace = TraceProbe::new(64);
     let (replanned, report) = {
-        let _probe = lib.arm_probe(ExecProbe::stats(&replan_stats));
+        let _probe = lib.arm_probe(ExecProbe::trace(&trace));
         lib.replan_from_report(&stats)
     };
     assert!(report.plan_changed(good), "{report:?}");
     assert_eq!(report.replanned, vec![good], "{report:?}");
     assert!(report.errors.is_empty(), "{report:?}");
-    assert_eq!(replan_stats.replans(), 1);
-    assert!(
-        replan_stats.to_json().contains("\"plan\":{\"replans\":1}"),
+    assert_eq!(
+        trace.events(),
+        vec![Event::Replanned { rel: good }],
         "{}",
-        replan_stats.to_json()
+        trace.to_json_lines()
     );
 
     // The replanned core advertises its provenance and renders the

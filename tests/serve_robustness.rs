@@ -7,7 +7,7 @@
 
 use indrel::pbt::chaos::{dump_on_panic, silence_panics, Chaos};
 use indrel::prelude::*;
-use indrel::producers::Outcome;
+use indrel::producers::{Event, Outcome};
 use std::time::{Duration, Instant};
 
 /// One frozen core serving two workloads: `even'` (cheap, hit-friendly,
@@ -94,18 +94,22 @@ fn held_permits_shed_every_request_and_release_recovers() {
             })
         );
     }
-    assert_eq!(server.stats().shed, 5);
+    assert_eq!(server.snapshot().counter("serve.shed"), Some(5));
     drop(permits);
     let ok = session.check_batch(even, 20, &batch);
     for (n, r) in ok.iter().enumerate() {
         assert_eq!(r, &Ok(Some(n % 2 == 0)), "n={n}");
     }
-    assert_eq!(server.stats().shed, 5, "recovery sheds nothing further");
+    assert_eq!(
+        server.snapshot().counter("serve.shed"),
+        Some(5),
+        "recovery sheds nothing further"
+    );
 }
 
 /// The `(seed, index)` repro token: a request that had to retry inside
 /// a batch replays attempt-for-attempt through [`Session::check_replay`],
-/// and the probe layer surfaces the retry count.
+/// and the server's registry surfaces the retry count.
 #[test]
 fn retry_schedule_replays_from_seed_and_index_token() {
     let (shared, _, twin) = serve_core();
@@ -121,24 +125,74 @@ fn retry_schedule_replays_from_seed_and_index_token() {
     );
     let session = server.session();
     let batch: Vec<Vec<Value>> = (3..6u64).map(|n| vec![Value::nat(n)]).collect();
-    let stats = SearchStats::new();
-    let got = {
-        let _probe = session.library().arm_probe(ExecProbe::stats(&stats));
-        session.check_batch(twin, 10, &batch)
-    };
+    let got = session.check_batch(twin, 10, &batch);
     for (n, r) in (3..6u64).zip(&got) {
         assert_eq!(r, &Ok(Some(true)), "twin {n}");
     }
     assert!(
-        stats.retries() > 0,
+        server.snapshot().counter("serve.retries").unwrap() > 0,
         "8 steps cannot check twin without retrying"
     );
-    assert_eq!(server.stats().retries, stats.retries());
     // Each request replays exactly from (retry_seed, its batch index).
     for (index, (args, want)) in batch.iter().zip(&got).enumerate() {
         let replay = session.check_replay(twin, 10, args, 0xA11CE, index as u64);
         assert_eq!(&replay, want, "index {index}");
     }
+}
+
+/// Every serving event is counted once, by its owning layer, and an
+/// armed probe sees exactly those events: over retried, shed and
+/// memo-hitting traffic, the trace's `Request`/`Retry`/`Shed` events
+/// match the registry's `serve.*` counters, and its `MemoHit`/`MemoMiss`
+/// events match the session's and the table's memo counters.
+#[test]
+fn serve_events_match_their_counters() {
+    let (shared, even, twin) = serve_core();
+    let server = Server::new(
+        shared,
+        ServeConfig {
+            max_inflight: 1,
+            steps_per_request: 8,
+            max_retries: 8,
+            ..ServeConfig::default()
+        },
+        Budget::unlimited(),
+    );
+    let session = server.session();
+    let stats = SearchStats::new();
+    let trace = TraceProbe::new(1 << 16);
+    {
+        let _probe = session.library().arm_probe(ExecProbe::both(&stats, &trace));
+        let twins: Vec<Vec<Value>> = (3..6u64).map(|n| vec![Value::nat(n)]).collect();
+        session.check_batch(twin, 10, &twins);
+        let evens: Vec<Vec<Value>> = (0..8u64).map(|n| vec![Value::nat(n)]).collect();
+        session.check_batch(even, 30, &evens);
+        session.check_batch(even, 30, &evens);
+        let _hog = server.try_admit().unwrap();
+        let shed = session.check_batch(even, 30, &[vec![Value::nat(2)]]);
+        assert!(matches!(shed[0], Err(ExecError::Overloaded { .. })));
+    }
+    assert_eq!(trace.dropped(), 0, "the ring holds every event");
+    let events = trace.events();
+    let count = |want: fn(&Event) -> bool| events.iter().filter(|e| want(e)).count() as u64;
+    let snap = server.snapshot();
+    let counter = |name: &str| snap.counter(name).unwrap();
+    let retries = count(|e| matches!(e, Event::Retry { .. }));
+    assert!(retries > 0, "8 steps cannot check twin without retrying");
+    assert_eq!(retries, counter("serve.retries"));
+    assert_eq!(count(|e| matches!(e, Event::Shed { .. })), 1);
+    assert_eq!(counter("serve.shed"), 1);
+    assert_eq!(
+        count(|e| matches!(e, Event::Request { .. })),
+        counter("serve.requests")
+    );
+    assert_eq!(counter("serve.requests"), 3 + 8 + 8 + 1);
+    let hits = count(|e| matches!(e, Event::MemoHit { .. }));
+    let misses = count(|e| matches!(e, Event::MemoMiss { .. }));
+    assert!(hits > 0, "the repeated batch must hit");
+    assert_eq!((hits, misses), session.library().memo_counts());
+    let table = server.stats();
+    assert_eq!((hits, misses), (table.hits, table.misses));
 }
 
 /// The 1%-shard-poison chaos run: a long sequential request stream
@@ -192,8 +246,8 @@ fn one_percent_shard_poison_never_corrupts_verdicts() {
 }
 
 /// Counter coherence and the automatic flight dump under shard
-/// poisoning: the metrics snapshot's `memo.*`/`serve.*` series must
-/// equal the [`MemoStats`] totals (one source of truth, two renderings),
+/// poisoning: the metrics snapshot's `memo.*` series must equal the
+/// [`MemoStats`] totals (one source of truth, two renderings),
 /// and a poison-retired shard must leave behind an automatic
 /// flight-recorder dump carrying the recent request spans.
 #[test]
@@ -219,8 +273,6 @@ fn poison_coheres_counters_and_auto_dumps_the_flight_recorder() {
     assert_eq!(snap.counter("memo.hits"), Some(stats.hits));
     assert_eq!(snap.counter("memo.misses"), Some(stats.misses));
     assert_eq!(snap.counter("memo.insertions"), Some(stats.insertions));
-    assert_eq!(snap.counter("serve.shed"), Some(stats.shed));
-    assert_eq!(snap.counter("serve.retries"), Some(stats.retries));
     assert_eq!(snap.gauge("memo.entries"), Some(stats.entries as u64));
     assert_eq!(snap.gauge("memo.degraded_shards"), Some(1));
     assert_eq!(snap.counter("serve.requests"), Some(32));
@@ -233,7 +285,8 @@ fn poison_coheres_counters_and_auto_dumps_the_flight_recorder() {
 }
 
 /// One chaos round of mixed traffic at a given thread count. Returns
-/// the server's final stats for cross-thread-count assertions.
+/// the server's final memo stats and `serve.shed` count for
+/// cross-thread-count assertions.
 ///
 /// Per thread and round: maybe poison a shard (keyed chaos roll, so the
 /// schedule is deterministic and independent of interleaving), then
@@ -242,7 +295,7 @@ fn poison_coheres_counters_and_auto_dumps_the_flight_recorder() {
 /// only acceptable outcomes are the true verdict or a structured
 /// cut-off. Thread 0 additionally forces one deterministic shed by
 /// exhausting the admission capacity against itself.
-fn chaos_round(threads: usize) -> MemoStats {
+fn chaos_round(threads: usize) -> (MemoStats, u64) {
     let (shared, even, twin) = serve_core();
     let server = Server::new(
         shared,
@@ -294,7 +347,8 @@ fn chaos_round(threads: usize) -> MemoStats {
         r[0]
     );
     drop(permits);
-    server.stats()
+    let shed = server.snapshot().counter("serve.shed").unwrap();
+    (server.stats(), shed)
 }
 
 /// The worker threads of one [`chaos_round`], factored out so the
@@ -371,7 +425,7 @@ fn chaos_under_concurrency_degrades_without_lying() {
     let _quiet = silence_panics();
     for threads in [2usize, 4, 8] {
         let start = Instant::now();
-        let stats = chaos_round(threads);
+        let (stats, shed) = chaos_round(threads);
         assert!(
             start.elapsed() < Duration::from_secs(60),
             "{threads} threads must not stall: took {:?}",
@@ -386,8 +440,8 @@ fn chaos_under_concurrency_degrades_without_lying() {
             "{threads} threads: degradation is bounded by the shard count: {stats}"
         );
         assert!(
-            stats.shed >= 1,
-            "{threads} threads: the forced overload must shed: {stats}"
+            shed >= 1,
+            "{threads} threads: the forced overload must shed: {shed}"
         );
         assert!(
             stats.entries <= 4 * (1 << 10),

@@ -79,22 +79,23 @@ fn assert_stats_parity(lib: &Library, sweep: impl Fn(&Library, CheckFn)) {
             let _p = session.arm_probe(ExecProbe::stats(&stats));
             sweep(&session, check);
         }
-        stats
+        (stats, session.memo_counts())
     };
     let vm = run(VM);
     assert_eq!(
-        vm.to_json(),
-        run(VM).to_json(),
+        vm.0.to_json(),
+        run(VM).0.to_json(),
         "VM stats must be byte-identical across identical runs"
     );
     assert_eq!(
-        vm.to_json(),
-        run(VM_METERED).to_json(),
+        vm.0.to_json(),
+        run(VM_METERED).0.to_json(),
         "arming a meter must not change the VM's stats"
     );
+    let interp = run(INTERPRETED);
     assert_eq!(
-        dispatch_invariant_stats(&vm),
-        dispatch_invariant_stats(&run(INTERPRETED)),
+        dispatch_invariant_stats(&vm.0, vm.1),
+        dispatch_invariant_stats(&interp.0, interp.1),
         "VM and interpreter must aggregate the same search"
     );
 }
