@@ -5,6 +5,14 @@
 //! (QuickChick `backtrack`), mirroring the paper's claim that all three
 //! computations are instances of one derivation.
 //!
+//! These executors are the *reference* for all three. A plan that
+//! compiles runs on the bytecode VM (`crate::vm`) instead: checkers
+//! and generators at every entry, enumerators behind compiled
+//! checkers' existential premises. [`Library::enumerate`] stays on the
+//! lazy streams here, and so do [`Library::check_interpreted`] and
+//! [`Library::try_generate_interpreted`], which interpret the named
+//! instance for the differential oracles.
+//!
 //! Fuel discipline (§2): every plan execution takes a `size` — the
 //! decreasing recursion fuel — and a `top_size`, which is handed (as
 //! both parameters) to every *external* call, so that a nested checker
@@ -207,11 +215,7 @@ impl Library {
         let stream = if let Some(f) = &entry.hand_enum {
             // Derived enumerators announce themselves in run_plan_enum;
             // handwritten ones are opaque, so announce them here.
-            self.probe(|| Event::Enter {
-                rel,
-                kind: ExecKind::Enumerator,
-                depth: self.probe_depth(),
-            });
+            self.probe_enter_enum(rel);
             f(size, top_size, inputs)
         } else {
             // Unreachable expect (panic audit): every `entry` comes from
@@ -248,6 +252,7 @@ impl Library {
 
     /// Randomly generates one output tuple for `(rel, mode)`, or `None`
     /// when generation failed (backtracking exhausted or out of fuel).
+    /// A derived generator whose plan compiled runs on the bytecode VM.
     ///
     /// # Panics
     ///
@@ -264,9 +269,13 @@ impl Library {
         let entry = self
             .require_producer(rel, mode, InstanceKind::Generator)
             .unwrap_or_else(|e| panic!("{e}"));
-        self.run_gen_impl(rel, entry, size, top_size, inputs, rng)
+        self.run_gen_impl(rel, entry, size, top_size, inputs, rng, false)
     }
 
+    /// Runs a generator instance: the handwritten one if registered,
+    /// else the derived plan — on the bytecode VM when it compiled and
+    /// `interpreted` is unset, through the plan interpreter otherwise.
+    #[allow(clippy::too_many_arguments)]
     fn run_gen_impl(
         &self,
         rel: RelId,
@@ -275,6 +284,7 @@ impl Library {
         top_size: u64,
         inputs: &[Value],
         rng: &mut dyn rand::RngCore,
+        interpreted: bool,
     ) -> Option<Vec<Value>> {
         let out = if let Some(f) = &entry.hand_gen {
             if !self.charge_step() {
@@ -282,16 +292,14 @@ impl Library {
             }
             let _depth = self.probe_enter(rel, ExecKind::Generator);
             f(size, top_size, inputs, rng)
+        } else if let (Some(prog), false) = (&entry.vm, interpreted) {
+            self.run_vm_gen(prog, size, top_size, inputs, rng)
         } else {
             // Unreachable expect (panic audit): as in `run_enum_impl`,
             // `require_producer` guarantees a plan when there is no
             // handwritten generator.
-            let plan = entry
-                .plan
-                .as_ref()
-                .expect("require_producer checked")
-                .clone();
-            self.run_plan_gen(&plan, size, top_size, inputs, rng)
+            let plan = entry.plan.as_ref().expect("require_producer checked");
+            self.run_plan_gen(plan, size, top_size, inputs, rng)
         };
         if let Some(outs) = &out {
             self.probe(|| Event::TermProduced {
@@ -406,11 +414,17 @@ impl Library {
         None
     }
 
-    /// The current executor nesting depth (only advanced while a probe
-    /// is armed).
+    /// Emits an enumerator's [`Event::Enter`] at the current depth,
+    /// without a depth guard: enumerations are lazy streams (or pushed
+    /// into a consumer that runs deeper calls of its own), so a scoped
+    /// depth would misnest.
     #[inline]
-    pub(crate) fn probe_depth(&self) -> u32 {
-        self.inner.depth.get()
+    pub(crate) fn probe_enter_enum(&self, rel: RelId) {
+        self.probe(|| Event::Enter {
+            rel,
+            kind: ExecKind::Enumerator,
+            depth: self.inner.depth.get(),
+        });
     }
 
     /// Arms `meter` until the returned guard drops.
@@ -614,16 +628,58 @@ impl Library {
         rng: &mut dyn rand::RngCore,
         budget: Budget,
     ) -> Result<Option<Vec<Value>>, ExecError> {
+        self.try_generate_with(rel, mode, size, top_size, inputs, rng, budget, false)
+    }
+
+    /// [`Library::try_generate`] with the named instance's derived plan
+    /// run by the plan *interpreter* rather than the bytecode VM — the
+    /// reference compiled generators are tested against, as
+    /// [`Library::try_check_interpreted`] is for checkers. Only the
+    /// named instance is interpreted (its recursive calls included);
+    /// external premises run as usual. At equal seeds both draw the
+    /// same `gen_range` values in the same order.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Library::try_check`].
+    #[allow(clippy::too_many_arguments)] // mirrors `try_generate`
+    pub fn try_generate_interpreted(
+        &self,
+        rel: RelId,
+        mode: &Mode,
+        size: u64,
+        top_size: u64,
+        inputs: &[Value],
+        rng: &mut dyn rand::RngCore,
+        budget: Budget,
+    ) -> Result<Option<Vec<Value>>, ExecError> {
+        self.try_generate_with(rel, mode, size, top_size, inputs, rng, budget, true)
+    }
+
+    /// The shared body of the budgeted generator entry points:
+    /// validates the instance and arity, then runs it under `budget`.
+    #[allow(clippy::too_many_arguments)]
+    fn try_generate_with(
+        &self,
+        rel: RelId,
+        mode: &Mode,
+        size: u64,
+        top_size: u64,
+        inputs: &[Value],
+        rng: &mut dyn rand::RngCore,
+        budget: Budget,
+        interpreted: bool,
+    ) -> Result<Option<Vec<Value>>, ExecError> {
         let entry = self.require_producer(rel, mode, InstanceKind::Generator)?;
         self.require_count(rel, mode.arity() - mode.num_outs(), inputs.len())?;
         if budget.is_unlimited() {
-            return Ok(self.run_gen_impl(rel, entry, size, top_size, inputs, rng));
+            return Ok(self.run_gen_impl(rel, entry, size, top_size, inputs, rng, interpreted));
         }
         let meter = Meter::new(budget);
         admit_terms(&meter, inputs)?;
         let result = {
             let _armed = self.arm_meter(meter.clone());
-            self.run_gen_impl(rel, entry, size, top_size, inputs, rng)
+            self.run_gen_impl(rel, entry, size, top_size, inputs, rng, interpreted)
         };
         match meter.exhaustion() {
             Some(e) => Err(e.into()),
@@ -1030,13 +1086,7 @@ impl Library {
         top: u64,
         inputs: &[Value],
     ) -> EStream<Vec<Value>> {
-        // Enter without a depth guard: the streams built here are lazy
-        // and outlive this call, so scoped depth tracking would misnest.
-        self.probe(|| Event::Enter {
-            rel: plan.rel,
-            kind: ExecKind::Enumerator,
-            depth: self.probe_depth(),
-        });
+        self.probe_enter_enum(plan.rel);
         let indices: Vec<usize> = if size == 0 {
             plan.handlers
                 .iter()

@@ -49,11 +49,33 @@ pub(crate) enum CheckerImpl {
     Plan(Arc<Plan>, Option<Arc<crate::vm::VmProgram>>),
 }
 
-#[derive(Clone, Default)]
+/// A producer instance `(rel, mode)`: its derived plan and bytecode, a
+/// handwritten enumerator and generator, or a mix (handwritten halves
+/// shadow the derived plan).
+#[derive(Clone)]
 pub(crate) struct ProducerImpl {
+    pub(crate) rel: RelId,
+    pub(crate) mode: Mode,
     pub(crate) plan: Option<Arc<Plan>>,
+    /// The plan's bytecode program, which every session runs as the
+    /// enumerator behind compiled `ProduceExt` premises and as the
+    /// generator — `None` when the plan did not compile.
+    pub(crate) vm: Option<Arc<crate::vm::VmProgram>>,
     pub(crate) hand_enum: Option<HandEnumFn>,
     pub(crate) hand_gen: Option<HandGenFn>,
+}
+
+impl ProducerImpl {
+    fn new(rel: RelId, mode: Mode) -> ProducerImpl {
+        ProducerImpl {
+            rel,
+            mode,
+            plan: None,
+            vm: None,
+            hand_enum: None,
+            hand_gen: None,
+        }
+    }
 }
 
 /// The immutable core of a built library: everything [`LibraryBuilder`]
@@ -68,7 +90,14 @@ pub(crate) struct Shared {
     /// Dense checker table indexed by relation id (ids are dense per
     /// `RelEnv`), so the hot external-call path avoids hashing.
     pub(crate) checkers: Vec<Option<CheckerImpl>>,
-    pub(crate) producers: HashMap<(RelId, Mode), ProducerImpl>,
+    /// Producer instances by dense id, assigned in derivation and
+    /// registration order; compiled `ProduceExt` instructions carry
+    /// the id.
+    pub(crate) producers: Vec<ProducerImpl>,
+    /// Per relation (indexed by id), its producer modes and their ids:
+    /// the public API's lookup, a short linear scan that neither hashes
+    /// nor clones the mode.
+    pub(crate) producer_index: Vec<Vec<(Mode, u32)>>,
     /// The measured cost profile the checker plans were scheduled
     /// under — `None` for fresh builds (static seeds only), `Some` for
     /// cores produced by [`Library::replan_from`]. `explain()` renders
@@ -182,7 +211,8 @@ pub struct LibraryBuilder {
     /// builder was set up by [`Library::replan_from`].
     profile: Option<Arc<CostProfile>>,
     checkers: HashMap<RelId, CheckerImpl>,
-    producers: HashMap<(RelId, Mode), ProducerImpl>,
+    producers: Vec<ProducerImpl>,
+    producer_ids: HashMap<(RelId, Mode), usize>,
     in_progress: Vec<Key>,
 }
 
@@ -215,7 +245,8 @@ impl LibraryBuilder {
             opts,
             profile: None,
             checkers: HashMap::new(),
-            producers: HashMap::new(),
+            producers: Vec::new(),
+            producer_ids: HashMap::new(),
             in_progress: Vec::new(),
         }
     }
@@ -251,12 +282,36 @@ impl LibraryBuilder {
 
     /// Registers a handwritten enumerator for `(rel, mode)`.
     pub fn register_enumerator(&mut self, rel: RelId, mode: Mode, f: HandEnumFn) {
-        self.producers.entry((rel, mode)).or_default().hand_enum = Some(f);
+        self.producer_entry(rel, mode).hand_enum = Some(f);
     }
 
     /// Registers a handwritten generator for `(rel, mode)`.
     pub fn register_generator(&mut self, rel: RelId, mode: Mode, f: HandGenFn) {
-        self.producers.entry((rel, mode)).or_default().hand_gen = Some(f);
+        self.producer_entry(rel, mode).hand_gen = Some(f);
+    }
+
+    /// The producer entry for `(rel, mode)`, created (with the next
+    /// dense id) on first use.
+    fn producer_entry(&mut self, rel: RelId, mode: Mode) -> &mut ProducerImpl {
+        let next = self.producers.len();
+        let id = *self.producer_ids.entry((rel, mode.clone())).or_insert(next);
+        if id == next {
+            self.producers.push(ProducerImpl::new(rel, mode));
+        }
+        &mut self.producers[id]
+    }
+
+    /// The dense id of an existing producer entry.
+    fn producer_id(&self, rel: RelId, mode: &Mode) -> Option<u32> {
+        self.producer_ids
+            .get(&(rel, mode.clone()))
+            .map(|&id| id as u32)
+    }
+
+    /// Compiles a plan to bytecode, resolving its external producer
+    /// premises to the dense ids of this builder's entries.
+    fn compile_vm(&self, plan: &Plan) -> Option<Arc<crate::vm::VmProgram>> {
+        crate::vm::compile_vm(plan, |rel, mode| self.producer_id(rel, mode)).map(Arc::new)
     }
 
     /// Derives (if not already present) a checker for `rel`, plus every
@@ -290,19 +345,17 @@ impl LibraryBuilder {
 
     /// Returns the derived plan for a producer, for inspection.
     pub fn producer_plan(&self, rel: RelId, mode: &Mode) -> Option<&Plan> {
-        self.producers
-            .get(&(rel, mode.clone()))
-            .and_then(|p| p.plan.as_deref())
+        let id = self.producer_id(rel, mode)?;
+        self.producers[id as usize].plan.as_deref()
     }
 
     fn ensure(&mut self, key: Key) -> Result<(), DeriveError> {
         let exists = match &key {
             Key::Checker(rel) => self.checkers.contains_key(rel),
-            Key::Producer(rel, mode) => {
-                self.producers.get(&(*rel, mode.clone())).is_some_and(|p| {
-                    p.plan.is_some() || (p.hand_enum.is_some() && p.hand_gen.is_some())
-                })
-            }
+            Key::Producer(rel, mode) => self.producer_id(*rel, mode).is_some_and(|id| {
+                let p = &self.producers[id as usize];
+                p.plan.is_some() || (p.hand_enum.is_some() && p.hand_gen.is_some())
+            }),
         };
         if exists {
             return Ok(());
@@ -330,7 +383,7 @@ impl LibraryBuilder {
                     self,
                 )
                 .map(|plan| {
-                    let vm = crate::vm::compile_vm(&plan).map(Arc::new);
+                    let vm = self.compile_vm(&plan);
                     self.checkers
                         .insert(*rel, CheckerImpl::Plan(Arc::new(plan), vm));
                 })
@@ -344,7 +397,10 @@ impl LibraryBuilder {
                 self,
             )
             .map(|plan| {
-                self.producers.entry((*rel, mode.clone())).or_default().plan = Some(Arc::new(plan));
+                let vm = self.compile_vm(&plan);
+                let entry = self.producer_entry(*rel, mode.clone());
+                entry.plan = Some(Arc::new(plan));
+                entry.vm = vm;
             }),
         };
         self.in_progress.pop();
@@ -357,6 +413,10 @@ impl LibraryBuilder {
         for (rel, imp) in self.checkers {
             checkers[rel.index()] = Some(imp);
         }
+        let mut producer_index: Vec<Vec<(Mode, u32)>> = vec![Vec::new(); self.env.len()];
+        for (id, p) in self.producers.iter().enumerate() {
+            producer_index[p.rel.index()].push((p.mode.clone(), id as u32));
+        }
         Library {
             inner: Rc::new(Inner::fresh(Arc::new(Shared {
                 universe: self.universe,
@@ -364,6 +424,7 @@ impl LibraryBuilder {
                 opts: self.opts,
                 checkers,
                 producers: self.producers,
+                producer_index,
                 profile: self.profile,
             }))),
         }
@@ -545,24 +606,28 @@ impl Library {
 
     /// `true` when a producer instance exists for `(rel, mode)`.
     pub fn has_producer(&self, rel: RelId, mode: &Mode) -> bool {
-        self.inner.producers.contains_key(&(rel, mode.clone()))
+        self.producer(rel, mode).is_some()
+    }
+
+    /// The producer entry for `(rel, mode)`, found without hashing or
+    /// cloning the mode.
+    fn producer(&self, rel: RelId, mode: &Mode) -> Option<&ProducerImpl> {
+        let modes = self.inner.producer_index.get(rel.index())?;
+        let &(_, id) = modes.iter().find(|(m, _)| m == mode)?;
+        Some(&self.inner.producers[id as usize])
     }
 
     /// `true` when `(rel, mode)` can be enumerated — a derived plan or
     /// a handwritten enumerator is registered.
     pub fn has_enumerator(&self, rel: RelId, mode: &Mode) -> bool {
-        self.inner
-            .producers
-            .get(&(rel, mode.clone()))
+        self.producer(rel, mode)
             .is_some_and(|p| p.hand_enum.is_some() || p.plan.is_some())
     }
 
     /// `true` when `(rel, mode)` can be randomly generated from — a
     /// derived plan or a handwritten generator is registered.
     pub fn has_generator(&self, rel: RelId, mode: &Mode) -> bool {
-        self.inner
-            .producers
-            .get(&(rel, mode.clone()))
+        self.producer(rel, mode)
             .is_some_and(|p| p.hand_gen.is_some() || p.plan.is_some())
     }
 
@@ -594,11 +659,7 @@ impl Library {
             rel: self.inner.env.relation(rel).name().to_string(),
             mode: Some(mode.to_string()),
         };
-        let entry = self
-            .inner
-            .producers
-            .get(&(rel, mode.clone()))
-            .ok_or_else(no_instance)?;
+        let entry = self.producer(rel, mode).ok_or_else(no_instance)?;
         let usable = match kind {
             InstanceKind::Enumerator => entry.hand_enum.is_some() || entry.plan.is_some(),
             InstanceKind::Generator => entry.hand_gen.is_some() || entry.plan.is_some(),
@@ -881,6 +942,12 @@ impl Library {
             LibraryBuilder::with_options(shared.universe.clone(), shared.env.clone(), shared.opts);
         b.profile = Some(Arc::new(profile));
         b.producers = shared.producers.clone();
+        b.producer_ids = shared
+            .producers
+            .iter()
+            .enumerate()
+            .map(|(id, p)| ((p.rel, p.mode.clone()), id))
+            .collect();
         let mut targets: Vec<(RelId, Arc<Plan>)> = Vec::new();
         let mut report = ReplanReport::default();
         for (idx, slot) in shared.checkers.iter().enumerate() {
@@ -915,7 +982,7 @@ impl Library {
                 Err(e) => {
                     // Keep serving the old plan rather than losing the
                     // relation mid-flight.
-                    let vm = crate::vm::compile_vm(&old_plan).map(Arc::new);
+                    let vm = b.compile_vm(&old_plan);
                     b.checkers.insert(rel, CheckerImpl::Plan(old_plan, vm));
                     report.errors.push((rel, e.to_string()));
                 }
@@ -947,23 +1014,7 @@ impl Library {
                 let _ = writeln!(out, "checker (derived{guided}):");
                 let _ = writeln!(out, "{}", plan.display(u, env));
                 let _ = writeln!(out, "  static step stats: {}", plan.step_stats());
-                match vm {
-                    Some(prog) => {
-                        let _ = writeln!(
-                            out,
-                            "  bytecode: {} instrs across {} handlers",
-                            prog.code_len(),
-                            prog.handlers.len()
-                        );
-                        for (h, p) in prog.handlers.iter().zip(&plan.handlers) {
-                            let ops: Vec<&str> = h.code.iter().map(|i| i.opcode()).collect();
-                            let _ = writeln!(out, "    {}: {}", p.name, ops.join(" "));
-                        }
-                    }
-                    None => {
-                        let _ = writeln!(out, "  bytecode: not compiled (interpreter fallback)");
-                    }
-                }
+                Self::bytecode_listing(&mut out, plan, vm.as_deref());
                 if let Some(stats) = stats {
                     out.push_str(&Self::premise_cost_table(
                         plan,
@@ -983,8 +1034,8 @@ impl Library {
             .inner
             .producers
             .iter()
-            .filter(|((r, _), _)| *r == rel)
-            .map(|((_, mode), imp)| (mode.to_string(), imp))
+            .filter(|p| p.rel == rel)
+            .map(|p| (p.mode.to_string(), p))
             .collect();
         producers.sort_by(|a, b| a.0.cmp(&b.0));
         for (mode, imp) in producers {
@@ -993,6 +1044,7 @@ impl Library {
                     let _ = writeln!(out, "producer {mode} (derived):");
                     let _ = writeln!(out, "{}", plan.display(u, env));
                     let _ = writeln!(out, "  static step stats: {}", plan.step_stats());
+                    Self::bytecode_listing(&mut out, plan, imp.vm.as_deref());
                 }
                 None => {
                     let kinds = match (&imp.hand_enum, &imp.hand_gen) {
@@ -1006,6 +1058,26 @@ impl Library {
             }
         }
         out
+    }
+
+    /// Appends a derived instance's bytecode: the instruction and
+    /// handler counts, then each handler's opcodes — or the line naming
+    /// the interpreter fallback when the plan did not compile.
+    fn bytecode_listing(out: &mut String, plan: &Plan, vm: Option<&crate::vm::VmProgram>) {
+        let Some(prog) = vm else {
+            let _ = writeln!(out, "  bytecode: not compiled (interpreter fallback)");
+            return;
+        };
+        let _ = writeln!(
+            out,
+            "  bytecode: {} instrs across {} handlers",
+            prog.code_len(),
+            prog.handlers.len()
+        );
+        for (h, p) in prog.handlers.iter().zip(&plan.handlers) {
+            let ops: Vec<&str> = h.code.iter().map(|i| i.opcode()).collect();
+            let _ = writeln!(out, "    {}: {}", p.name, ops.join(" "));
+        }
     }
 
     /// Renders the premise cost table for a checker plan: one row per

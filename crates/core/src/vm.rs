@@ -1,26 +1,40 @@
-//! Register-based bytecode backend for derived checkers.
+//! Register-based bytecode backend for derived checkers, enumerators,
+//! and generators.
 //!
-//! A derived checker's plan ([`crate::plan`]) is compiled once, at
-//! [`LibraryBuilder::build`] time, into a flat array of register-machine
-//! instructions ([`VmProgram`]), which every session executes in a
-//! single threaded dispatch loop. The plan interpreter
+//! A derived instance's plan ([`crate::plan`]) is compiled once, when
+//! the [`LibraryBuilder`] derives it, into a flat array of
+//! register-machine instructions ([`VmProgram`]), which every session
+//! executes in a single threaded dispatch loop. The plan interpreter
 //! ([`crate::exec`]) stays as the reference the differential oracles
 //! compare against, and as the per-relation fallback for plans that do
 //! not compile.
+//!
+//! One ISA serves the paper's three instantiations of one derivation
+//! (§4). A checker program runs under the checker executor
+//! ([`Library::run_vm_search`]); a producer program runs under two:
+//! the **enumerator** executor pushes each output tuple, by reference,
+//! into the consumer's continuation ([`Sink`]) — a compiled checker's
+//! `ProduceExt` is "run the callee's enumerator with my instruction
+//! suffix as the continuation", with no stream, box, or output vector —
+//! and the **generator** executor makes single weighted draws
+//! ([`Library::run_vm_gen`]). The public enumerator API stays on the
+//! interpreter's lazy streams.
 //!
 //! The instruction set, register model, compilability rules, and the
 //! parity contract with the interpreter are documented in DESIGN.md
 //! § "Bytecode VM" — that chapter is the reference; this module is its
 //! implementation. The contract in one sentence: for every reachable
-//! input, the VM returns the interpreter's verdict and charges the same
-//! [`Budget`] steps, so differential oracles, tabling, serving, and the
-//! `try_*` budgets work unchanged on either side of the fallback.
+//! input, the VM returns the interpreter's verdicts, outcome sequences,
+//! and draws, charges the same [`Budget`] steps and backtracks, and
+//! emits the same search events, so differential oracles, tabling,
+//! serving, and the `try_*` budgets work unchanged on either side of
+//! the fallback.
 //!
-//! Compilation covers every checker plan the deriver emits for
-//! relations of arity at most [`MAX_PREMISE_ARITY`]; [`compile_vm`]
-//! returns `None` (per-relation fallback to the interpreter) on wider
-//! relations and on any construct outside its register discipline, so
-//! new plan features degrade to the slow path instead of breaking.
+//! Compilation covers every plan the deriver emits for relations of
+//! arity at most [`MAX_PREMISE_ARITY`]; [`compile_vm`] returns `None`
+//! (per-relation fallback to the interpreter) on wider relations and on
+//! any construct outside its register discipline, so new plan features
+//! degrade to the slow path instead of breaking.
 //!
 //! # Register discipline
 //!
@@ -34,8 +48,8 @@
 //! *aliases* the variable to the location it matched ([`Src`], an
 //! argument position or an already-written register), so reads go to
 //! the original value and no `Copy` runs at execution time. Single
-//! assignment is also what lets the backtracking fan-out instructions
-//! (`ProduceExt`, `Unconstrained`) re-enter the instruction suffix per
+//! assignment is also what lets the fan-out instructions (`ProduceExt`,
+//! `ProduceRec`, `Unconstrained`) re-enter the instruction suffix per
 //! candidate without cloning the frame — every register the suffix
 //! reads is either rewritten by the suffix on each re-run or was
 //! written before the fan-out point and never changes — where the
@@ -43,16 +57,15 @@
 //!
 //! # Two monomorphized loops
 //!
-//! The executor is compiled twice from one body (a `const METERED:
+//! Each executor is compiled twice from one body (a `const METERED:
 //! bool` parameter): a *metered* loop that charges the budget, emits
 //! probe events, and feeds the memo layer's cost gate, and a *fast*
 //! loop with every such site compiled out, entered only when no meter,
-//! probe, or verdict table is armed — a state in
-//! which the bookkeeping is unobservable, so the two loops are
-//! indistinguishable except in speed. See [`Library::run_vm_search`]
-//! for the entry gate.
+//! probe, or verdict table is armed — a state in which the bookkeeping
+//! is unobservable, so the two loops are indistinguishable except in
+//! speed. See [`Library::run_vm_search`] for the entry gate.
 //!
-//! [`LibraryBuilder::build`]: crate::LibraryBuilder::build
+//! [`LibraryBuilder`]: crate::LibraryBuilder
 //! [`Budget`]: crate::Budget
 //! [`Env`]: indrel_term::Env
 
@@ -61,8 +74,10 @@ use crate::library::{CheckerImpl, Library};
 use crate::mode::Mode;
 use crate::plan::{Handler, Plan, Step};
 use indrel_producers::probe::{Event, ExecKind, FailSite};
-use indrel_producers::{bind_ec, cnot, Meter};
+use indrel_producers::{cnot, Meter, Outcome};
+use indrel_term::random::random_value;
 use indrel_term::{CtorId, FunId, Pattern, RelId, TermExpr, TypeExpr, Value, VarId};
+use std::ops::ControlFlow;
 
 /// Hard ceiling on registers per compiled handler; plans wider than
 /// this fall back to the interpreter (`u16` operands stay valid and a
@@ -248,14 +263,14 @@ pub(crate) enum Instr {
         /// Plan step index, for `Premise` attribution.
         step: u32,
     },
-    /// External enumerator premise: drain the stream, writing each
-    /// witness tuple into `outs` and re-running the instruction suffix,
-    /// under the out-of-fuel bookkeeping of `bindEC`.
+    /// External producer premise. Enumerating (E): push the callee's
+    /// enumeration into a continuation that writes each tuple into
+    /// `outs` and re-runs the instruction suffix (a checker folds the
+    /// runs with `bindEC`). Generating (G): one draw into `outs`, the
+    /// handler failing when the callee does.
     ProduceExt {
-        /// The relation enumerated.
-        rel: RelId,
-        /// The mode of the external instance.
-        mode: Mode,
+        /// The producer instance's dense id (`Shared::producers`).
+        prod: u32,
         /// Input-argument locations.
         srcs: Box<[Src]>,
         /// Registers receiving the produced outputs.
@@ -263,9 +278,19 @@ pub(crate) enum Instr {
         /// Plan step index, for `Premise` attribution.
         step: u32,
     },
-    /// Unconstrained existential: iterate the bounded-exhaustive values
-    /// of a type into `dst`, re-running the suffix per candidate, with
-    /// domain truncation counted as out-of-fuel.
+    /// Recursive producer premise at the decremented size (producer
+    /// programs only): `ProduceExt` against this program itself, with
+    /// no entry-boundary bookkeeping.
+    ProduceRec {
+        /// Input-argument locations.
+        srcs: Box<[Src]>,
+        /// Registers receiving the produced outputs.
+        outs: Box<[u16]>,
+    },
+    /// Unconstrained existential. Checking or enumerating: iterate the
+    /// bounded-exhaustive values of a type into `dst`, re-running the
+    /// suffix per candidate, with domain truncation counted as
+    /// out-of-fuel. Generating: one random value.
     Unconstrained {
         /// The instantiated type.
         ty: TypeExpr,
@@ -273,6 +298,13 @@ pub(crate) enum Instr {
         dst: u16,
         /// Plan step index, for `Premise` attribution.
         step: u32,
+    },
+    /// A producer handler's tail: the output tuple. Enumerating, it is
+    /// passed by reference to the consumer's continuation; generating,
+    /// it is the call's result.
+    Yield {
+        /// Output locations, in the mode's output order.
+        srcs: Box<[Src]>,
     },
 }
 
@@ -296,7 +328,9 @@ impl Instr {
             Instr::CheckRel { .. } => "CheckRel",
             Instr::RecSelf { .. } => "RecSelf",
             Instr::ProduceExt { .. } => "ProduceExt",
+            Instr::ProduceRec { .. } => "ProduceRec",
             Instr::Unconstrained { .. } => "Unconstrained",
+            Instr::Yield { .. } => "Yield",
         }
     }
 }
@@ -313,15 +347,17 @@ pub(crate) struct VmHandler {
     pub(crate) code: Box<[Instr]>,
 }
 
-/// A derived checker compiled to bytecode: one [`VmHandler`] per rule,
-/// plus what rule dispatch needs. Dispatch itself (constructor
-/// indexing, fuel discipline, backtrack charges) lives in the executor,
-/// not the program.
+/// A derived checker or producer compiled to bytecode: one
+/// [`VmHandler`] per rule, plus what rule dispatch needs. Dispatch
+/// itself (constructor indexing, fuel discipline, backtrack charges,
+/// the generator's weighted choice) lives in the executor, not the
+/// program.
 pub(crate) struct VmProgram {
-    /// The relation checked.
+    /// The relation checked or produced from.
     pub(crate) rel: RelId,
     /// First-argument discrimination index ([`crate::index`]); `None`
-    /// when every input pattern is flexible.
+    /// when every input pattern is flexible, and for producers, which
+    /// dispatch linearly.
     pub(crate) index: Option<DispatchIndex>,
     /// Whether any handler is recursive: at fuel 0 the skipped
     /// recursive handlers make a failed search out-of-fuel.
@@ -345,22 +381,38 @@ impl VmProgram {
 // Compilation
 // ---------------------------------------------------------------------
 
-/// Compiles a checker plan to bytecode. Returns `None` — the signal for
-/// the per-relation interpreter fallback — when any handler uses a
-/// construct outside the register discipline (see the DESIGN.md
-/// compilability rules): a `ProduceRec` step (never emitted in checker
-/// plans, kept as a defensive gate), a register written twice, a read
-/// of a never-written register, a pattern that cannot match any value,
-/// a frame wider than the register ceiling, or a premise wider than
-/// [`MAX_PREMISE_ARITY`].
-pub(crate) fn compile_vm(plan: &Plan) -> Option<VmProgram> {
-    debug_assert!(plan.mode.is_checker());
-    let rows: Vec<&[Pattern]> = plan
-        .handlers
-        .iter()
-        .map(|h| h.input_pats.as_slice())
-        .collect();
-    let index = DispatchIndex::build(&rows);
+/// Most handlers a producer program may have: the generator keeps its
+/// weighted options in a stack array of this size.
+const MAX_GEN_HANDLERS: usize = 32;
+
+/// Compiles a checker or producer plan to bytecode, resolving external
+/// producer premises to dense instance ids through `resolve`. Returns
+/// `None` — the signal for the per-relation interpreter fallback — when
+/// any handler uses a construct outside the register discipline (see
+/// the DESIGN.md compilability rules): a step of the other plan kind, a
+/// register written twice, a read of a never-written register, a
+/// pattern that cannot match any value, a frame wider than the register
+/// ceiling, a premise or output tuple wider than
+/// [`MAX_PREMISE_ARITY`], an unresolved producer, or a producer with
+/// more than [`MAX_GEN_HANDLERS`] handlers.
+pub(crate) fn compile_vm(
+    plan: &Plan,
+    resolve: impl Fn(RelId, &Mode) -> Option<u32>,
+) -> Option<VmProgram> {
+    let checker = plan.mode.is_checker();
+    if !checker && plan.handlers.len() > MAX_GEN_HANDLERS {
+        return None;
+    }
+    let index = if checker {
+        let rows: Vec<&[Pattern]> = plan
+            .handlers
+            .iter()
+            .map(|h| h.input_pats.as_slice())
+            .collect();
+        DispatchIndex::build(&rows)
+    } else {
+        None
+    };
     // Dispatch runs through the index whenever one exists, so a head
     // guard at the indexed position that merely restates the bucket's
     // head class can never fail — the compiler drops it (see
@@ -369,7 +421,7 @@ pub(crate) fn compile_vm(plan: &Plan) -> Option<VmProgram> {
     let handlers = plan
         .handlers
         .iter()
-        .map(|h| compile_handler(h, elide_pos))
+        .map(|h| compile_handler(h, checker, elide_pos, &resolve))
         .collect::<Option<Vec<_>>>()?;
     let all = (0..handlers.len() as u32).collect();
     Some(VmProgram {
@@ -389,7 +441,10 @@ pub(crate) fn compile_vm(plan: &Plan) -> Option<VmProgram> {
 /// which case every read compiles to the aliased location and the
 /// `Copy` the interpreter's `Env` bind corresponds to is never
 /// emitted.
-struct Compiler {
+struct Compiler<'r> {
+    /// Compiling a checker plan (else a producer plan).
+    checker: bool,
+    resolve: &'r dyn Fn(RelId, &Mode) -> Option<u32>,
     code: Vec<Instr>,
     nslots: usize,
     nregs: usize,
@@ -402,11 +457,21 @@ struct Compiler {
     loc: Vec<Option<Src>>,
 }
 
-fn compile_handler(h: &Handler, elide_pos: Option<usize>) -> Option<VmHandler> {
-    if h.nslots > MAX_REGS || h.input_pats.len() > MAX_PREMISE_ARITY {
+fn compile_handler(
+    h: &Handler,
+    checker: bool,
+    elide_pos: Option<usize>,
+    resolve: &dyn Fn(RelId, &Mode) -> Option<u32>,
+) -> Option<VmHandler> {
+    if h.nslots > MAX_REGS
+        || h.input_pats.len() > MAX_PREMISE_ARITY
+        || h.outputs.len() > MAX_PREMISE_ARITY
+    {
         return None;
     }
     let mut c = Compiler {
+        checker,
+        resolve,
         code: Vec::new(),
         nslots: h.nslots,
         nregs: h.nslots,
@@ -435,6 +500,10 @@ fn compile_handler(h: &Handler, elide_pos: Option<usize>) -> Option<VmHandler> {
     for (idx, step) in h.steps.iter().enumerate() {
         c.step(idx as u32, step)?;
     }
+    if !checker {
+        let srcs = c.expr_list(&h.outputs)?;
+        c.code.push(Instr::Yield { srcs });
+    }
     Some(VmHandler {
         recursive: h.recursive,
         nregs: c.frame_len,
@@ -460,7 +529,7 @@ fn head_guard_subsumed(pat: &Pattern) -> bool {
     }
 }
 
-impl Compiler {
+impl Compiler<'_> {
     /// Records that an instruction writes register `r`, growing the
     /// run-time frame to cover it.
     fn note_write(&mut self, r: u16) {
@@ -680,6 +749,19 @@ impl Compiler {
         Some(())
     }
 
+    /// Binds a producer premise's output slots to their own registers;
+    /// the tuple passes through a stack buffer, hence the arity gate.
+    fn out_regs(&mut self, slots: &[VarId]) -> Option<Box<[u16]>> {
+        if slots.len() > MAX_PREMISE_ARITY {
+            return None;
+        }
+        slots
+            .iter()
+            .map(|v| self.bind_var(*v))
+            .collect::<Option<Vec<_>>>()
+            .map(Vec::into_boxed_slice)
+    }
+
     fn expr_list(&mut self, args: &[TermExpr]) -> Option<Box<[Src]>> {
         args.iter()
             .map(|a| self.expr(a))
@@ -738,7 +820,7 @@ impl Compiler {
                 });
             }
             Step::RecCheck { args } => {
-                if args.len() > MAX_PREMISE_ARITY {
+                if !self.checker || args.len() > MAX_PREMISE_ARITY {
                     return None;
                 }
                 let srcs = self.expr_list(args)?;
@@ -750,24 +832,27 @@ impl Compiler {
                 in_args,
                 out_slots,
             } => {
+                let prod = (self.resolve)(*rel, mode)?;
                 let srcs = self.expr_list(in_args)?;
-                let outs = out_slots
-                    .iter()
-                    .map(|v| self.bind_var(*v))
-                    .collect::<Option<Vec<_>>>()?
-                    .into_boxed_slice();
+                let outs = self.out_regs(out_slots)?;
                 self.code.push(Instr::ProduceExt {
-                    rel: *rel,
-                    mode: mode.clone(),
+                    prod,
                     srcs,
                     outs,
                     step: idx,
                 });
             }
-            // Checker plans never contain ProduceRec; treat it as
-            // uncompilable rather than unreachable so a future plan
+            // A ProduceRec in a checker plan (never emitted) is
+            // uncompilable rather than unreachable, so a future plan
             // change degrades to the interpreter.
-            Step::ProduceRec { .. } => return None,
+            Step::ProduceRec { in_args, out_slots } => {
+                if self.checker || in_args.len() > MAX_PREMISE_ARITY {
+                    return None;
+                }
+                let srcs = self.expr_list(in_args)?;
+                let outs = self.out_regs(out_slots)?;
+                self.code.push(Instr::ProduceRec { srcs, outs });
+            }
             Step::Unconstrained { var, ty } => {
                 let dst = self.bind_var(*var)?;
                 self.code.push(Instr::Unconstrained {
@@ -799,16 +884,28 @@ pub(crate) struct VmFrames {
     argv: Vec<Vec<Value>>,
 }
 
+/// Most vectors each free list keeps. Push enumeration holds one frame
+/// and one argument vector per open fan-out level, so the lists are
+/// sized for the deepest nests the bundled workloads reach.
+const POOL_CAP: usize = 64;
+
 impl VmFrames {
+    /// A frame of `nregs` registers. A zero-width frame — a handler
+    /// that binds everything by aliasing — touches no pool.
+    #[inline]
     fn take(&mut self, nregs: usize) -> Vec<Value> {
+        if nregs == 0 {
+            return Vec::new();
+        }
         let mut f = self.free.pop().unwrap_or_default();
         f.clear();
         f.resize(nregs, Value::Bool(false));
         f
     }
 
+    #[inline]
     fn put(&mut self, f: Vec<Value>) {
-        if self.free.len() < 64 {
+        if f.capacity() > 0 && self.free.len() < POOL_CAP {
             self.free.push(f);
         }
     }
@@ -819,7 +916,7 @@ impl VmFrames {
 
     fn put_argv(&mut self, mut v: Vec<Value>) {
         v.clear();
-        if self.argv.len() < 64 {
+        if self.argv.len() < POOL_CAP {
             self.argv.push(v);
         }
     }
@@ -900,6 +997,23 @@ fn fill_refs<'a>(
     srcs.len()
 }
 
+/// Points a stack reference buffer at an owned tuple, returning the
+/// populated length (compilation bounds every tuple it passes by
+/// `MAX_PREMISE_ARITY`).
+#[inline]
+fn refs_of<'a>(buf: &mut [&'a Value; MAX_PREMISE_ARITY], vals: &'a [Value]) -> usize {
+    for (slot, v) in buf.iter_mut().zip(vals) {
+        *slot = v;
+    }
+    vals.len().min(MAX_PREMISE_ARITY)
+}
+
+/// A push enumerator's consumer, called once per outcome in stream
+/// order: `Some` passes the output tuple by reference, `None` is an
+/// out-of-fuel marker. `Break` stops the enumeration. The frame pools are
+/// a parameter rather than a capture because the enumerator holds them.
+type Sink<'a> = dyn FnMut(&mut VmFrames, Option<&[&Value]>) -> ControlFlow<()> + 'a;
+
 impl Library {
     /// Takes the session's VM scratch out of its `RefCell`, leaving a
     /// fresh empty one for any re-entrant entry underneath.
@@ -914,19 +1028,27 @@ impl Library {
         if pool.free.is_empty() && pool.argv.is_empty() {
             *pool = frames;
         } else {
-            while pool.free.len() < 64 {
+            while pool.free.len() < POOL_CAP {
                 match frames.free.pop() {
                     Some(f) => pool.free.push(f),
                     None => break,
                 }
             }
-            while pool.argv.len() < 64 {
+            while pool.argv.len() < POOL_CAP {
                 match frames.argv.pop() {
                     Some(v) => pool.argv.push(v),
                     None => break,
                 }
             }
         }
+    }
+
+    /// Whether a VM entry may run the fast loop: no meter, probe, or
+    /// verdict table armed, so every charge answers `true`, every event
+    /// is dropped, and `search_calls` feeds nothing. None of the three
+    /// can change mid-call — they arm only between top-level calls.
+    fn vm_fast(&self, meter: &Option<Meter>) -> bool {
+        meter.is_none() && !self.probe_armed() && self.inner.memo.borrow().is_none()
     }
 
     /// The search body of a compiled checker: rule dispatch, the fuel
@@ -944,12 +1066,7 @@ impl Library {
     ///   events, and bumps `search_calls`, with the armed meter resolved
     ///   once here instead of one `RefCell` borrow per charge site;
     /// * the **fast** loop — when none of the three is armed — compiles
-    ///   all of that bookkeeping out. Unobservable by construction:
-    ///   with no meter every charge answers `true`, with no probe every
-    ///   event is dropped, and `search_calls` feeds only the memo cost
-    ///   gate and probe-armed premise deltas, all of which are off.
-    ///   None of the conditions can change mid-call — meters and probes
-    ///   arm only between top-level calls.
+    ///   all of that bookkeeping out ([`Library::vm_fast`]).
     pub(crate) fn run_vm_search(
         &self,
         prog: &VmProgram,
@@ -961,24 +1078,49 @@ impl Library {
         // (premises build `&[&Value]` buffers instead of cloning into
         // owned vectors), so the owned entry tuple converts to a
         // reference buffer once here. Compilation gates every argument
-        // read below `MAX_PREMISE_ARITY`, so the truncation `take`
-        // can never drop a readable position.
+        // read below `MAX_PREMISE_ARITY`, so the truncation can never
+        // drop a readable position.
         debug_assert!(args.len() <= MAX_PREMISE_ARITY);
         let mut buf = [&DUMMY_VALUE; MAX_PREMISE_ARITY];
-        for (slot, v) in buf.iter_mut().zip(args.iter().take(MAX_PREMISE_ARITY)) {
-            *slot = v;
-        }
-        let refs = &buf[..args.len().min(MAX_PREMISE_ARITY)];
+        let len = refs_of(&mut buf, args);
+        let refs = &buf[..len];
         let mut frames = self.take_vm_frames();
         let meter = self.active_meter();
-        let fast = meter.is_none() && !self.probe_armed() && self.inner.memo.borrow().is_none();
-        let r = if fast {
+        let r = if self.vm_fast(&meter) {
             self.vm_search::<false>(prog, &None, &mut frames, size, top, refs)
         } else {
             self.vm_search::<true>(prog, &meter, &mut frames, size, top, refs)
         };
         self.put_vm_frames(frames);
         r
+    }
+
+    /// The generator entry of a compiled producer (`Library::generate`
+    /// and `try_generate`): picks the loop like
+    /// [`Library::run_vm_search`], then runs [`Library::vm_gen`], which
+    /// charges the entry step itself.
+    pub(crate) fn run_vm_gen(
+        &self,
+        prog: &VmProgram,
+        size: u64,
+        top: u64,
+        inputs: &[Value],
+        rng: &mut dyn rand::RngCore,
+    ) -> Option<Vec<Value>> {
+        debug_assert!(inputs.len() <= MAX_PREMISE_ARITY);
+        let mut buf = [&DUMMY_VALUE; MAX_PREMISE_ARITY];
+        let len = refs_of(&mut buf, inputs);
+        let refs = &buf[..len];
+        let mut frames = self.take_vm_frames();
+        let meter = self.active_meter();
+        let mut out = Vec::new();
+        let ok = if self.vm_fast(&meter) {
+            self.vm_gen::<false>(prog, &None, &mut frames, size, top, refs, rng, &mut out)
+        } else {
+            self.vm_gen::<true>(prog, &meter, &mut frames, size, top, refs, rng, &mut out)
+        };
+        self.put_vm_frames(frames);
+        ok.then_some(out)
     }
 
     #[inline]
@@ -1041,7 +1183,12 @@ impl Library {
             let r = if h.code.is_empty() {
                 Some(true)
             } else {
-                self.vm_handler::<METERED>(prog, h, i, meter, frames, size_rem, top, args)
+                let mut frame = frames.take(h.nregs);
+                let r = self.vm_exec::<METERED>(
+                    prog, h, i, 0, &mut frame, frames, meter, size_rem, top, args,
+                );
+                frames.put(frame);
+                r
             };
             match r {
                 Some(true) => {
@@ -1073,36 +1220,164 @@ impl Library {
         }
     }
 
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn vm_handler<const METERED: bool>(
+    /// Executes one straight-line instruction — a load, a construction,
+    /// a function call, or a guard, the part of the ISA all three
+    /// executors share — failing with the site of a failed guard. The
+    /// executors match their own instructions first and fall through to
+    /// this one, so the two matches fold into one dispatch.
+    #[inline(always)]
+    fn vm_simple(
         &self,
-        prog: &VmProgram,
-        h: &VmHandler,
-        h_idx: u32,
-        meter: &Option<Meter>,
-        frames: &mut VmFrames,
-        size_rem: u64,
-        top: u64,
+        instr: &Instr,
+        frame: &mut [Value],
         args: &[&Value],
-    ) -> Option<bool> {
-        // Handlers that bind everything by aliasing have a zero-width
-        // frame — no take, no clear, no return to the pool.
-        if h.nregs == 0 {
-            let mut frame = Vec::new();
-            return self.vm_exec::<METERED>(
-                prog, h, h_idx, 0, &mut frame, frames, meter, size_rem, top, args,
-            );
+        frames: &mut VmFrames,
+    ) -> Result<(), FailSite> {
+        match instr {
+            Instr::Copy { src, dst } => {
+                let v = read(frame, args, *src).clone();
+                frame[*dst as usize] = v;
+            }
+            Instr::LoadNat { dst, lit } => frame[*dst as usize] = Value::Nat(*lit),
+            Instr::LoadBool { dst, lit } => frame[*dst as usize] = Value::Bool(*lit),
+            Instr::MkSucc { src, dst } => {
+                let n = read(frame, args, *src)
+                    .as_nat()
+                    .expect("plan invariant: successor of a non-nat");
+                frame[*dst as usize] = Value::Nat(n.saturating_add(1));
+            }
+            Instr::MkCtor { ctor, srcs, dst } => {
+                let vals = srcs.iter().map(|&s| read(frame, args, s).clone()).collect();
+                frame[*dst as usize] = Value::ctor(*ctor, vals);
+            }
+            Instr::CallFun { fun, srcs, dst } => {
+                let mut vals = frames.take_argv();
+                vals.extend(srcs.iter().map(|&s| read(frame, args, s).clone()));
+                let v = self.universe().fun(*fun).apply(&vals);
+                frames.put_argv(vals);
+                frame[*dst as usize] = v;
+            }
+            Instr::GuardNat { src, lit, site } => {
+                if read(frame, args, *src).as_nat() != Some(*lit) {
+                    return Err(*site);
+                }
+            }
+            Instr::GuardNatGe { src, min, site } => {
+                if read(frame, args, *src).as_nat().is_none_or(|n| n < *min) {
+                    return Err(*site);
+                }
+            }
+            Instr::GuardBool { src, lit, site } => {
+                if read(frame, args, *src).as_bool() != Some(*lit) {
+                    return Err(*site);
+                }
+            }
+            Instr::GuardSucc { src, k, dst, site } => match read(frame, args, *src).as_nat() {
+                Some(n) if n >= *k => frame[*dst as usize] = Value::Nat(n - *k),
+                _ => return Err(*site),
+            },
+            Instr::GuardEq {
+                a,
+                b,
+                negated,
+                site,
+            } => {
+                let l = read(frame, args, *a);
+                let r = read(frame, args, *b);
+                if (l == r) == *negated {
+                    return Err(*site);
+                }
+            }
+            Instr::Destruct {
+                src,
+                ctor,
+                dsts,
+                site,
+            } => {
+                let fields = match read(frame, args, *src) {
+                    Value::Ctor(c, fields) if c == ctor && fields.len() == dsts.len() => {
+                        // Pure guard (every field read through a path
+                        // source): no copies at all. Otherwise an O(1)
+                        // Arc clone releases the borrow of the frame so
+                        // the field copies can write.
+                        if dsts.iter().all(Option::is_none) {
+                            None
+                        } else {
+                            Some(fields.clone())
+                        }
+                    }
+                    _ => return Err(*site),
+                };
+                if let Some(fields) = fields {
+                    for (slot, v) in dsts.iter().zip(fields.iter()) {
+                        if let Some(d) = slot {
+                            frame[*d as usize] = v.clone();
+                        }
+                    }
+                }
+            }
+            Instr::CheckRel { .. }
+            | Instr::RecSelf { .. }
+            | Instr::ProduceExt { .. }
+            | Instr::ProduceRec { .. }
+            | Instr::Unconstrained { .. }
+            | Instr::Yield { .. } => {
+                unreachable!("{} is not a straight-line instruction here", instr.opcode())
+            }
         }
-        let mut frame = frames.take(h.nregs);
-        let r = self.vm_exec::<METERED>(
-            prog, h, h_idx, 0, &mut frame, frames, meter, size_rem, top, args,
-        );
-        frames.put(frame);
-        r
+        Ok(())
     }
 
-    /// The dispatch loop: executes `h.code[pc..]` over `frame`.
+    /// An external checker premise, shared by the three executors: the
+    /// full [`Library::check`] entry in the metered loop; in the fast
+    /// loop, its inlined core minus the (inert there) charge and probe
+    /// sites — a compiled callee stays inside the VM on these frame pools,
+    /// taking the reference buffer as-is.
+    #[inline(always)]
+    fn vm_check_rel<const METERED: bool>(
+        &self,
+        rel: RelId,
+        refs: &[&Value],
+        frames: &mut VmFrames,
+        top: u64,
+    ) -> Option<bool> {
+        if METERED {
+            let mut vals = frames.take_argv();
+            vals.extend(refs.iter().map(|&v| v.clone()));
+            let r = self.check(rel, top, top, &vals);
+            frames.put_argv(vals);
+            return r;
+        }
+        let imp = self.require_checker(rel).unwrap_or_else(|e| panic!("{e}"));
+        match imp {
+            CheckerImpl::Hand(f) => match refs {
+                // Small arities clone into a stack array — no pool
+                // round-trip.
+                [a] => f(top, top, &[(*a).clone()]),
+                [a, b] => f(top, top, &[(*a).clone(), (*b).clone()]),
+                [a, b, c] => f(top, top, &[(*a).clone(), (*b).clone(), (*c).clone()]),
+                _ => {
+                    let mut vals = frames.take_argv();
+                    vals.extend(refs.iter().map(|&v| v.clone()));
+                    let r = f(top, top, &vals);
+                    frames.put_argv(vals);
+                    r
+                }
+            },
+            CheckerImpl::Plan(plan, vm) => match vm {
+                Some(p) => self.vm_search::<false>(p, &None, frames, top, top, refs),
+                None => {
+                    let mut vals = frames.take_argv();
+                    vals.extend(refs.iter().map(|&v| v.clone()));
+                    let r = self.run_derived_check(plan, None, top, top, &vals);
+                    frames.put_argv(vals);
+                    r
+                }
+            },
+        }
+    }
+
+    /// The checker dispatch loop: executes `h.code[pc..]` over `frame`.
     /// Straight-line instructions iterate in place; the fan-out
     /// instructions (`ProduceExt`, `Unconstrained`) re-enter this
     /// function per candidate on the *same* frame (single assignment
@@ -1116,7 +1391,7 @@ impl Library {
         h: &VmHandler,
         h_idx: u32,
         pc0: usize,
-        frame: &mut Vec<Value>,
+        frame: &mut [Value],
         frames: &mut VmFrames,
         meter: &Option<Meter>,
         size_rem: u64,
@@ -1126,88 +1401,6 @@ impl Library {
         let mut pc = pc0;
         while let Some(instr) = h.code.get(pc) {
             match instr {
-                Instr::Copy { src, dst } => {
-                    let v = read(frame, args, *src).clone();
-                    frame[*dst as usize] = v;
-                }
-                Instr::LoadNat { dst, lit } => frame[*dst as usize] = Value::Nat(*lit),
-                Instr::LoadBool { dst, lit } => frame[*dst as usize] = Value::Bool(*lit),
-                Instr::MkSucc { src, dst } => {
-                    let n = read(frame, args, *src)
-                        .as_nat()
-                        .expect("plan invariant: successor of a non-nat");
-                    frame[*dst as usize] = Value::Nat(n.saturating_add(1));
-                }
-                Instr::MkCtor { ctor, srcs, dst } => {
-                    let vals = srcs.iter().map(|&s| read(frame, args, s).clone()).collect();
-                    frame[*dst as usize] = Value::ctor(*ctor, vals);
-                }
-                Instr::CallFun { fun, srcs, dst } => {
-                    let mut vals = frames.take_argv();
-                    vals.extend(srcs.iter().map(|&s| read(frame, args, s).clone()));
-                    let v = self.universe().fun(*fun).apply(&vals);
-                    frames.put_argv(vals);
-                    frame[*dst as usize] = v;
-                }
-                Instr::GuardNat { src, lit, site } => {
-                    if read(frame, args, *src).as_nat() != Some(*lit) {
-                        return self.vm_fail::<METERED>(prog.rel, h_idx, *site);
-                    }
-                }
-                Instr::GuardNatGe { src, min, site } => {
-                    if read(frame, args, *src).as_nat().is_none_or(|n| n < *min) {
-                        return self.vm_fail::<METERED>(prog.rel, h_idx, *site);
-                    }
-                }
-                Instr::GuardBool { src, lit, site } => {
-                    if read(frame, args, *src).as_bool() != Some(*lit) {
-                        return self.vm_fail::<METERED>(prog.rel, h_idx, *site);
-                    }
-                }
-                Instr::GuardSucc { src, k, dst, site } => match read(frame, args, *src).as_nat() {
-                    Some(n) if n >= *k => frame[*dst as usize] = Value::Nat(n - *k),
-                    _ => return self.vm_fail::<METERED>(prog.rel, h_idx, *site),
-                },
-                Instr::GuardEq {
-                    a,
-                    b,
-                    negated,
-                    site,
-                } => {
-                    let l = read(frame, args, *a);
-                    let r = read(frame, args, *b);
-                    if (l == r) == *negated {
-                        return self.vm_fail::<METERED>(prog.rel, h_idx, *site);
-                    }
-                }
-                Instr::Destruct {
-                    src,
-                    ctor,
-                    dsts,
-                    site,
-                } => {
-                    let fields = match read(frame, args, *src) {
-                        Value::Ctor(c, fields) if c == ctor && fields.len() == dsts.len() => {
-                            // Pure guard (every field read through a
-                            // path source): no copies at all. Otherwise
-                            // an O(1) Arc clone releases the borrow of
-                            // the frame so the field copies can write.
-                            if dsts.iter().all(Option::is_none) {
-                                None
-                            } else {
-                                Some(fields.clone())
-                            }
-                        }
-                        _ => return self.vm_fail::<METERED>(prog.rel, h_idx, *site),
-                    };
-                    if let Some(fields) = fields {
-                        for (slot, v) in dsts.iter().zip(fields.iter()) {
-                            if let Some(d) = slot {
-                                frame[*d as usize] = v.clone();
-                            }
-                        }
-                    }
-                }
                 Instr::CheckRel {
                     rel,
                     srcs,
@@ -1216,82 +1409,21 @@ impl Library {
                 } => {
                     // Arguments travel as a stack buffer of references;
                     // owned values materialize only at a boundary that
-                    // demands them (a handwritten checker, the
-                    // interpreter fallback, the metered loop's `check`
-                    // entry).
+                    // demands them.
                     let mut refs = [&DUMMY_VALUE; MAX_PREMISE_ARITY];
                     let len = fill_refs(&mut refs, frame, args, srcs);
-                    let refs = &refs[..len];
-                    let r = if METERED {
-                        // Premise cost attribution: the search-call delta
-                        // across the premise, gated on arming so the
-                        // unarmed cost is one `Cell` load per premise.
-                        let mut vals = frames.take_argv();
-                        vals.extend(refs.iter().map(|&v| v.clone()));
-                        let calls_before =
-                            self.probe_armed().then(|| self.inner.search_calls.get());
-                        let mut r = self.check(*rel, top, top, &vals);
-                        if *negated {
-                            r = cnot(r);
-                        }
-                        if let Some(before) = calls_before {
-                            let cost = self.inner.search_calls.get() - before;
-                            self.probe(|| Event::Premise {
-                                rel: prog.rel,
-                                rule: h_idx,
-                                step: *step,
-                                cost,
-                                failed: r == Some(false),
-                            });
-                        }
-                        frames.put_argv(vals);
-                        r
-                    } else {
-                        // Inlined `Library::check` minus its (inert
-                        // here) charge and probe sites; a compiled
-                        // callee stays inside the VM, reusing this
-                        // scratch instead of crossing the entry
-                        // boundary again — and taking the reference
-                        // buffer as-is, no clones.
-                        let imp = self.require_checker(*rel).unwrap_or_else(|e| panic!("{e}"));
-                        let mut r = match imp {
-                            CheckerImpl::Hand(f) => match refs {
-                                // Small arities clone into a stack
-                                // array — no pool round-trip.
-                                [a] => f(top, top, &[(*a).clone()]),
-                                [a, b] => f(top, top, &[(*a).clone(), (*b).clone()]),
-                                [a, b, c] => {
-                                    f(top, top, &[(*a).clone(), (*b).clone(), (*c).clone()])
-                                }
-                                _ => {
-                                    let mut vals = frames.take_argv();
-                                    vals.extend(refs.iter().map(|&v| v.clone()));
-                                    let r = f(top, top, &vals);
-                                    frames.put_argv(vals);
-                                    r
-                                }
-                            },
-                            CheckerImpl::Plan(plan, vm) => match vm {
-                                Some(p) => {
-                                    self.vm_search::<false>(p, &None, frames, top, top, refs)
-                                }
-                                None => {
-                                    let mut vals = frames.take_argv();
-                                    vals.extend(refs.iter().map(|&v| v.clone()));
-                                    let r = self.run_derived_check(plan, None, top, top, &vals);
-                                    frames.put_argv(vals);
-                                    r
-                                }
-                            },
-                        };
-                        if *negated {
-                            r = cnot(r);
-                        }
-                        r
-                    };
-                    match r {
-                        Some(true) => {}
-                        other => return other,
+                    // Premise cost attribution: the search-call delta
+                    // across the premise, gated on arming so the
+                    // unarmed cost is one `Cell` load.
+                    let calls_before =
+                        (METERED && self.probe_armed()).then(|| self.inner.search_calls.get());
+                    let mut r = self.vm_check_rel::<METERED>(*rel, &refs[..len], frames, top);
+                    if *negated {
+                        r = cnot(r);
+                    }
+                    self.vm_premise(calls_before, prog.rel, h_idx, *step, r);
+                    if r != Some(true) {
+                        return r;
                     }
                 }
                 Instr::RecSelf { srcs, step } => {
@@ -1300,53 +1432,39 @@ impl Library {
                     // references is the whole calling convention.
                     let mut refs = [&DUMMY_VALUE; MAX_PREMISE_ARITY];
                     let len = fill_refs(&mut refs, frame, args, srcs);
-                    let refs = &refs[..len];
-                    let r = if METERED {
-                        let calls_before =
-                            self.probe_armed().then(|| self.inner.search_calls.get());
-                        // One budget step per recursion, like an entry,
-                        // then the search at the decremented fuel —
-                        // staying inside the VM, reusing this scratch.
-                        // Recursion skips the verdict table (see
-                        // `Library::run_derived_check`).
-                        let r = if charge_step_cached(meter) {
-                            self.vm_search::<true>(prog, meter, frames, size_rem, top, refs)
-                        } else {
-                            None
-                        };
-                        if let Some(before) = calls_before {
-                            let cost = self.inner.search_calls.get() - before;
-                            self.probe(|| Event::Premise {
-                                rel: prog.rel,
-                                rule: h_idx,
-                                step: *step,
-                                cost,
-                                failed: r == Some(false),
-                            });
-                        }
-                        r
+                    let calls_before =
+                        (METERED && self.probe_armed()).then(|| self.inner.search_calls.get());
+                    // One budget step per recursion, like an entry, then
+                    // the search at the decremented fuel, reusing these
+                    // frame pools. Recursion skips the verdict table (see
+                    // `Library::run_derived_check`).
+                    let r = if !METERED || charge_step_cached(meter) {
+                        self.vm_search::<METERED>(prog, meter, frames, size_rem, top, &refs[..len])
                     } else {
-                        self.vm_search::<false>(prog, &None, frames, size_rem, top, refs)
+                        None
                     };
-                    match r {
-                        Some(true) => {}
-                        other => return other,
+                    self.vm_premise(calls_before, prog.rel, h_idx, *step, r);
+                    if r != Some(true) {
+                        return r;
                     }
                 }
-                // The two fan-out instructions live in outlined cold
-                // functions: their bodies (stream plumbing, candidate
-                // loops, premise accounting) would otherwise dominate
-                // this function's stack frame, and this function's
-                // prologue/epilogue runs once per search step.
-                Instr::ProduceExt { .. } => {
-                    return self.vm_produce_ext::<METERED>(
+                // The fan-out instructions live in an outlined cold
+                // function: their bodies (candidate loops, continuations,
+                // premise accounting) would otherwise dominate this
+                // function's stack frame, and its prologue runs once per
+                // search step.
+                Instr::ProduceExt { .. } | Instr::Unconstrained { .. } => {
+                    return self.vm_fanout::<METERED>(
                         prog, h, h_idx, pc, frame, frames, meter, size_rem, top, args,
                     );
                 }
-                Instr::Unconstrained { .. } => {
-                    return self.vm_unconstrained::<METERED>(
-                        prog, h, h_idx, pc, frame, frames, meter, size_rem, top, args,
-                    );
+                _ => {
+                    if let Err(site) = self.vm_simple(instr, frame, args, frames) {
+                        if METERED {
+                            self.vm_unify_fail(prog.rel, h_idx, site);
+                        }
+                        return Some(false);
+                    }
                 }
             }
             pc += 1;
@@ -1354,146 +1472,645 @@ impl Library {
         Some(true)
     }
 
-    /// Outlined `ProduceExt` arm of [`Library::vm_exec`]: lazy-stream
-    /// premise, binding each yielded tuple into the frame and
-    /// re-entering the instruction suffix, folded with `bindEC`. The
-    /// streams are lazy, so the cost delta necessarily covers the
-    /// premise *and* its continuation under the binder — the
+    /// Outlined fan-out arm of [`Library::vm_exec`]. `ProduceExt` pushes
+    /// the callee's enumeration ([`Library::vm_enum_ext`]) into a
+    /// continuation that binds each tuple and re-runs the suffix;
+    /// `Unconstrained` walks the type's raw candidates, with the
+    /// truncation marker last. Both fold the suffix results with
+    /// `bindEC`, a conclusive yes stopping the producer. The premise
+    /// cost delta covers the premise *and* its continuation — the
     /// scheduling-relevant tail cost of placing the premise here.
     #[inline(never)]
     #[allow(clippy::too_many_arguments)]
-    fn vm_produce_ext<const METERED: bool>(
+    fn vm_fanout<const METERED: bool>(
         &self,
         prog: &VmProgram,
         h: &VmHandler,
         h_idx: u32,
         pc: usize,
-        frame: &mut Vec<Value>,
+        frame: &mut [Value],
         frames: &mut VmFrames,
         meter: &Option<Meter>,
         size_rem: u64,
         top: u64,
         args: &[&Value],
     ) -> Option<bool> {
-        let Some(Instr::ProduceExt {
-            rel,
-            mode,
-            srcs,
-            outs,
-            step,
-        }) = h.code.get(pc)
-        else {
-            unreachable!("vm_produce_ext entered on a non-ProduceExt pc");
-        };
-        let mut in_vals = frames.take_argv();
-        in_vals.extend(srcs.iter().map(|&s| read(frame, args, s).clone()));
         let calls_before = (METERED && self.probe_armed()).then(|| self.inner.search_calls.get());
-        let stream = self.enumerate(*rel, mode, top, top, &in_vals);
-        frames.put_argv(in_vals);
-        let r = bind_ec(stream, |out_vals| {
-            for (&o, v) in outs.iter().zip(out_vals) {
-                frame[o as usize] = v;
+        let (mut found, mut needs_fuel) = (false, false);
+        let mut fold = |r: Option<bool>| match r {
+            Some(true) => {
+                found = true;
+                ControlFlow::Break(())
             }
-            self.vm_exec::<METERED>(
-                prog,
-                h,
-                h_idx,
-                pc + 1,
-                frame,
-                frames,
-                meter,
-                size_rem,
-                top,
-                args,
-            )
-        });
-        if let Some(before) = calls_before {
-            let cost = self.inner.search_calls.get() - before;
-            self.probe(|| Event::Premise {
-                rel: prog.rel,
-                rule: h_idx,
-                step: *step,
-                cost,
-                failed: r == Some(false),
-            });
-        }
-        r
-    }
-
-    /// Outlined `Unconstrained` arm of [`Library::vm_exec`]: the
-    /// `bindEC` fold over the type's raw candidates, candidates first
-    /// (a conclusive yes short-circuits), the truncation marker last.
-    #[inline(never)]
-    #[allow(clippy::too_many_arguments)]
-    fn vm_unconstrained<const METERED: bool>(
-        &self,
-        prog: &VmProgram,
-        h: &VmHandler,
-        h_idx: u32,
-        pc: usize,
-        frame: &mut Vec<Value>,
-        frames: &mut VmFrames,
-        meter: &Option<Meter>,
-        size_rem: u64,
-        top: u64,
-        args: &[&Value],
-    ) -> Option<bool> {
-        let Some(Instr::Unconstrained { ty, dst, step }) = h.code.get(pc) else {
-            unreachable!("vm_unconstrained entered on a non-Unconstrained pc");
+            Some(false) => ControlFlow::Continue(()),
+            None => {
+                needs_fuel = true;
+                ControlFlow::Continue(())
+            }
         };
-        let candidates = self.raw_values(ty, top);
-        let truncated = self.raw_truncated(ty, top);
-        let calls_before = (METERED && self.probe_armed()).then(|| self.inner.search_calls.get());
-        let mut needs_fuel = false;
-        let mut found = false;
-        for i in 0..candidates.len() {
-            frame[*dst as usize] = candidates[i].clone();
-            match self.vm_exec::<METERED>(
-                prog,
-                h,
-                h_idx,
-                pc + 1,
-                frame,
-                frames,
-                meter,
-                size_rem,
-                top,
-                args,
-            ) {
-                Some(true) => {
-                    found = true;
-                    break;
+        let step = match &h.code[pc] {
+            Instr::ProduceExt {
+                prod,
+                srcs,
+                outs,
+                step,
+            } => {
+                let mut in_vals = frames.take_argv();
+                in_vals.extend(srcs.iter().map(|&s| read(frame, args, s).clone()));
+                let _ = self.vm_enum_ext::<METERED>(
+                    *prod,
+                    meter,
+                    frames,
+                    top,
+                    &in_vals,
+                    &mut |frames, tuple| {
+                        let Some(tuple) = tuple else {
+                            return fold(None);
+                        };
+                        for (&o, v) in outs.iter().zip(tuple) {
+                            frame[o as usize] = (*v).clone();
+                        }
+                        fold(self.vm_exec::<METERED>(
+                            prog,
+                            h,
+                            h_idx,
+                            pc + 1,
+                            frame,
+                            frames,
+                            meter,
+                            size_rem,
+                            top,
+                            args,
+                        ))
+                    },
+                );
+                frames.put_argv(in_vals);
+                *step
+            }
+            Instr::Unconstrained { ty, dst, step } => {
+                let candidates = self.raw_values(ty, top);
+                for c in candidates.iter() {
+                    frame[*dst as usize] = c.clone();
+                    let r = self.vm_exec::<METERED>(
+                        prog,
+                        h,
+                        h_idx,
+                        pc + 1,
+                        frame,
+                        frames,
+                        meter,
+                        size_rem,
+                        top,
+                        args,
+                    );
+                    if fold(r).is_break() {
+                        break;
+                    }
                 }
-                Some(false) => {}
-                None => needs_fuel = true,
+                if !found && self.raw_truncated(ty, top) {
+                    needs_fuel = true;
+                }
+                *step
             }
-        }
+            _ => unreachable!("vm_fanout entered on a non-fan-out instruction"),
+        };
         let r = if found {
             Some(true)
-        } else if needs_fuel || truncated {
+        } else if needs_fuel {
             None
         } else {
             Some(false)
         };
+        self.vm_premise(calls_before, prog.rel, h_idx, step, r);
+        r
+    }
+
+    /// Emits a checker premise's `Premise` attribution when the probe
+    /// was armed at its start (`calls_before` is then the search-call
+    /// count at that point).
+    #[inline]
+    fn vm_premise(
+        &self,
+        calls_before: Option<u64>,
+        rel: RelId,
+        rule: u32,
+        step: u32,
+        r: Option<bool>,
+    ) {
         if let Some(before) = calls_before {
             let cost = self.inner.search_calls.get() - before;
             self.probe(|| Event::Premise {
-                rel: prog.rel,
-                rule: h_idx,
-                step: *step,
+                rel,
+                rule,
+                step,
                 cost,
                 failed: r == Some(false),
             });
         }
-        r
     }
 
-    #[inline]
-    fn vm_fail<const METERED: bool>(&self, rel: RelId, rule: u32, site: FailSite) -> Option<bool> {
+    #[cold]
+    fn vm_unify_fail(&self, rel: RelId, rule: u32, site: FailSite) {
+        self.probe(|| Event::UnifyFail { rel, rule, site });
+    }
+
+    // -----------------------------------------------------------------
+    // The enumerator executor (E): push-based
+    // -----------------------------------------------------------------
+
+    /// An external enumerator premise (a `ProduceExt` of a checker or
+    /// an enumerator): runs instance `prod` at the top fuel on `inputs`
+    /// and pushes its outcomes into `sink`, with the bookkeeping of the
+    /// interpreter's stream boundary (`Library::enumerate`) — an
+    /// `Enter`, one budget step per element demanded (including the
+    /// final demand that finds the enumeration finished), and a
+    /// `TermProduced` per tuple. A failed step charge ends *this*
+    /// enumeration, as the metered stream's end does; a `Break` from
+    /// the consumer propagates. A callee that is handwritten or did not
+    /// compile runs as the interpreter's stream, iterated here.
+    #[allow(clippy::too_many_arguments)]
+    fn vm_enum_ext<const METERED: bool>(
+        &self,
+        prod: u32,
+        meter: &Option<Meter>,
+        frames: &mut VmFrames,
+        top: u64,
+        inputs: &[Value],
+        sink: &mut Sink<'_>,
+    ) -> ControlFlow<()> {
+        let p = &self.inner.producers[prod as usize];
+        let prog = match (&p.hand_enum, &p.vm) {
+            (None, Some(prog)) => prog,
+            _ => {
+                for outcome in self.enumerate(p.rel, &p.mode, top, top, inputs) {
+                    match outcome {
+                        Outcome::OutOfFuel => sink(frames, None)?,
+                        Outcome::Val(tuple) => {
+                            let mut buf = [&DUMMY_VALUE; MAX_PREMISE_ARITY];
+                            let len = refs_of(&mut buf, &tuple);
+                            sink(frames, Some(&buf[..len]))?;
+                        }
+                    }
+                }
+                return ControlFlow::Continue(());
+            }
+        };
+        let mut buf = [&DUMMY_VALUE; MAX_PREMISE_ARITY];
+        let len = refs_of(&mut buf, inputs);
+        let args = &buf[..len];
         if METERED {
-            self.probe(|| Event::UnifyFail { rel, rule, site });
+            self.probe_enter_enum(p.rel);
+            if !charge_step_cached(meter) {
+                return ControlFlow::Continue(());
+            }
         }
-        Some(false)
+        let mut cut = false;
+        let flow = self.vm_enum_handlers::<METERED>(
+            prog,
+            meter,
+            frames,
+            top,
+            top,
+            args,
+            &mut |frames, tuple| {
+                if METERED {
+                    if let Some(tuple) = tuple {
+                        self.probe(|| Event::TermProduced {
+                            rel: p.rel,
+                            size: tuple.iter().map(|v| v.size()).sum(),
+                        });
+                    }
+                }
+                sink(frames, tuple)?;
+                if METERED && !charge_step_cached(meter) {
+                    cut = true;
+                    return ControlFlow::Break(());
+                }
+                ControlFlow::Continue(())
+            },
+        );
+        if cut {
+            ControlFlow::Continue(())
+        } else {
+            flow
+        }
+    }
+
+    /// The enumerator's rule dispatch: every handler in order (only the
+    /// non-recursive ones at size 0, then an out-of-fuel marker when
+    /// recursive ones were skipped), each announced by `RuleAttempt`.
+    /// Producers dispatch linearly: no constructor index.
+    #[allow(clippy::too_many_arguments)]
+    fn vm_enum_handlers<const METERED: bool>(
+        &self,
+        prog: &VmProgram,
+        meter: &Option<Meter>,
+        frames: &mut VmFrames,
+        size: u64,
+        top: u64,
+        args: &[&Value],
+        sink: &mut Sink<'_>,
+    ) -> ControlFlow<()> {
+        let size_rem = size.saturating_sub(1);
+        for (i, h) in prog.handlers.iter().enumerate() {
+            if size == 0 && h.recursive {
+                continue;
+            }
+            let i = i as u32;
+            if METERED {
+                self.probe(|| Event::RuleAttempt {
+                    rel: prog.rel,
+                    rule: i,
+                });
+            }
+            let mut frame = frames.take(h.nregs);
+            let flow = self.vm_enum_exec::<METERED>(
+                prog, h, i, 0, &mut frame, frames, meter, size_rem, top, args, sink,
+            );
+            frames.put(frame);
+            flow?;
+        }
+        if size == 0 && prog.has_recursive {
+            sink(frames, None)?;
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// The enumerator's handler loop: straight-line instructions in
+    /// place; a failed guard or a conclusively failed check ends the
+    /// branch with no outcome, an out-of-fuel check yields the marker,
+    /// and `Yield` hands the tuple to the consumer.
+    #[allow(clippy::too_many_arguments)]
+    fn vm_enum_exec<const METERED: bool>(
+        &self,
+        prog: &VmProgram,
+        h: &VmHandler,
+        h_idx: u32,
+        pc0: usize,
+        frame: &mut [Value],
+        frames: &mut VmFrames,
+        meter: &Option<Meter>,
+        size_rem: u64,
+        top: u64,
+        args: &[&Value],
+        sink: &mut Sink<'_>,
+    ) -> ControlFlow<()> {
+        let mut pc = pc0;
+        loop {
+            let instr = &h.code[pc];
+            match instr {
+                Instr::CheckRel {
+                    rel, srcs, negated, ..
+                } => {
+                    let mut refs = [&DUMMY_VALUE; MAX_PREMISE_ARITY];
+                    let len = fill_refs(&mut refs, frame, args, srcs);
+                    let mut r = self.vm_check_rel::<METERED>(*rel, &refs[..len], frames, top);
+                    if *negated {
+                        r = cnot(r);
+                    }
+                    match r {
+                        Some(true) => {}
+                        Some(false) => return ControlFlow::Continue(()),
+                        None => return sink(frames, None),
+                    }
+                }
+                Instr::Yield { srcs } => {
+                    if METERED {
+                        self.probe(|| Event::RuleSuccess {
+                            rel: prog.rel,
+                            rule: h_idx,
+                        });
+                    }
+                    let mut refs = [&DUMMY_VALUE; MAX_PREMISE_ARITY];
+                    let len = fill_refs(&mut refs, frame, args, srcs);
+                    return sink(frames, Some(&refs[..len]));
+                }
+                Instr::ProduceExt { .. }
+                | Instr::ProduceRec { .. }
+                | Instr::Unconstrained { .. } => {
+                    return self.vm_enum_fanout::<METERED>(
+                        prog, h, h_idx, pc, frame, frames, meter, size_rem, top, args, sink,
+                    );
+                }
+                _ => {
+                    if let Err(site) = self.vm_simple(instr, frame, args, frames) {
+                        if METERED {
+                            self.vm_unify_fail(prog.rel, h_idx, site);
+                        }
+                        return ControlFlow::Continue(());
+                    }
+                }
+            }
+            pc += 1;
+        }
+    }
+
+    /// Outlined fan-out arm of [`Library::vm_enum_exec`]: per candidate
+    /// or produced tuple, bind and re-run the suffix on the same frame;
+    /// the producer's out-of-fuel markers (and a truncated domain's)
+    /// bypass the suffix and go straight to the consumer, as they pass
+    /// through the interpreter's `bindE`.
+    #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
+    fn vm_enum_fanout<const METERED: bool>(
+        &self,
+        prog: &VmProgram,
+        h: &VmHandler,
+        h_idx: u32,
+        pc: usize,
+        frame: &mut [Value],
+        frames: &mut VmFrames,
+        meter: &Option<Meter>,
+        size_rem: u64,
+        top: u64,
+        args: &[&Value],
+        sink: &mut Sink<'_>,
+    ) -> ControlFlow<()> {
+        let (srcs, outs) = match &h.code[pc] {
+            Instr::Unconstrained { ty, dst, .. } => {
+                let candidates = self.raw_values(ty, top);
+                for c in candidates.iter() {
+                    frame[*dst as usize] = c.clone();
+                    self.vm_enum_exec::<METERED>(
+                        prog,
+                        h,
+                        h_idx,
+                        pc + 1,
+                        frame,
+                        frames,
+                        meter,
+                        size_rem,
+                        top,
+                        args,
+                        sink,
+                    )?;
+                }
+                if self.raw_truncated(ty, top) {
+                    sink(frames, None)?;
+                }
+                return ControlFlow::Continue(());
+            }
+            Instr::ProduceExt { srcs, outs, .. } | Instr::ProduceRec { srcs, outs } => (srcs, outs),
+            _ => unreachable!("vm_enum_fanout entered on a non-fan-out instruction"),
+        };
+        // The continuation writes into this frame while the callee
+        // runs, so the callee's inputs cannot borrow it: they are
+        // cloned (O(1) each) into a pooled vector.
+        let mut in_vals = frames.take_argv();
+        in_vals.extend(srcs.iter().map(|&s| read(frame, args, s).clone()));
+        let mut k = |frames: &mut VmFrames, tuple: Option<&[&Value]>| {
+            let Some(tuple) = tuple else {
+                return sink(frames, None);
+            };
+            for (&o, v) in outs.iter().zip(tuple) {
+                frame[o as usize] = (*v).clone();
+            }
+            self.vm_enum_exec::<METERED>(
+                prog,
+                h,
+                h_idx,
+                pc + 1,
+                frame,
+                frames,
+                meter,
+                size_rem,
+                top,
+                args,
+                sink,
+            )
+        };
+        let flow = match &h.code[pc] {
+            Instr::ProduceExt { prod, .. } => {
+                self.vm_enum_ext::<METERED>(*prod, meter, frames, top, &in_vals, &mut k)
+            }
+            _ => {
+                // `ProduceRec`: this program at the decremented size,
+                // announced like the interpreter's `run_plan_enum` and
+                // with no boundary charges.
+                if METERED {
+                    self.probe_enter_enum(prog.rel);
+                }
+                let mut buf = [&DUMMY_VALUE; MAX_PREMISE_ARITY];
+                let len = refs_of(&mut buf, &in_vals);
+                self.vm_enum_handlers::<METERED>(
+                    prog,
+                    meter,
+                    frames,
+                    size_rem,
+                    top,
+                    &buf[..len],
+                    &mut k,
+                )
+            }
+        };
+        frames.put_argv(in_vals);
+        flow
+    }
+
+    // -----------------------------------------------------------------
+    // The generator executor (G)
+    // -----------------------------------------------------------------
+
+    /// A compiled generator: one budget step at entry, then QuickChick's
+    /// `backtrack` over the handlers — pick one with probability
+    /// proportional to its weight (base 1, recursive `size`), discard
+    /// it on failure (one backtrack charge), retry until one succeeds
+    /// or none is left. The options live in a stack array and are
+    /// removed by `swap_remove`, so the walk — and with it every
+    /// `gen_range` draw — matches the interpreter's `run_plan_gen`. The
+    /// output tuple is appended to `out`.
+    #[allow(clippy::too_many_arguments)]
+    fn vm_gen<const METERED: bool>(
+        &self,
+        prog: &VmProgram,
+        meter: &Option<Meter>,
+        frames: &mut VmFrames,
+        size: u64,
+        top: u64,
+        args: &[&Value],
+        rng: &mut dyn rand::RngCore,
+        out: &mut Vec<Value>,
+    ) -> bool {
+        if METERED && !charge_step_cached(meter) {
+            return false;
+        }
+        let _depth = if METERED {
+            self.probe_enter(prog.rel, ExecKind::Generator)
+        } else {
+            None
+        };
+        let size_rem = size.saturating_sub(1);
+        let mut options = [(0u64, 0u32); MAX_GEN_HANDLERS];
+        let mut n = 0;
+        for (i, h) in prog.handlers.iter().enumerate() {
+            if size > 0 || !h.recursive {
+                options[n] = (if h.recursive { size.max(1) } else { 1 }, i as u32);
+                n += 1;
+            }
+        }
+        let mut total: u64 = options[..n].iter().map(|(w, _)| *w).sum();
+        while total > 0 {
+            let mut pick = rand::Rng::gen_range(&mut *rng, 0..total);
+            let mut chosen = 0;
+            for (i, (w, _)) in options[..n].iter().enumerate() {
+                if pick < *w {
+                    chosen = i;
+                    break;
+                }
+                pick -= *w;
+            }
+            let (w, i) = options[chosen];
+            if METERED {
+                self.probe(|| Event::RuleAttempt {
+                    rel: prog.rel,
+                    rule: i,
+                });
+            }
+            let h = &prog.handlers[i as usize];
+            let mut frame = frames.take(h.nregs);
+            let ok = self.vm_gen_exec::<METERED>(
+                prog, h, i, &mut frame, frames, meter, size_rem, top, args, rng, out,
+            );
+            frames.put(frame);
+            if ok {
+                if METERED {
+                    self.probe(|| Event::RuleSuccess {
+                        rel: prog.rel,
+                        rule: i,
+                    });
+                }
+                return true;
+            }
+            if METERED {
+                self.probe(|| Event::Backtrack {
+                    rel: prog.rel,
+                    rule: i,
+                });
+                if !charge_backtrack_cached(meter) {
+                    return false;
+                }
+            }
+            total -= w;
+            options[chosen] = options[n - 1];
+            n -= 1;
+        }
+        false
+    }
+
+    /// The generator's handler body: straight-line instructions, then
+    /// single draws — a producer premise writes its tuple into the
+    /// output registers, `Unconstrained` one `random_value` — until
+    /// `Yield` appends the outputs. Any failure fails the handler.
+    #[allow(clippy::too_many_arguments)]
+    fn vm_gen_exec<const METERED: bool>(
+        &self,
+        prog: &VmProgram,
+        h: &VmHandler,
+        h_idx: u32,
+        frame: &mut [Value],
+        frames: &mut VmFrames,
+        meter: &Option<Meter>,
+        size_rem: u64,
+        top: u64,
+        args: &[&Value],
+        rng: &mut dyn rand::RngCore,
+        out: &mut Vec<Value>,
+    ) -> bool {
+        for instr in h.code.iter() {
+            match instr {
+                Instr::CheckRel {
+                    rel, srcs, negated, ..
+                } => {
+                    let mut refs = [&DUMMY_VALUE; MAX_PREMISE_ARITY];
+                    let len = fill_refs(&mut refs, frame, args, srcs);
+                    let mut r = self.vm_check_rel::<METERED>(*rel, &refs[..len], frames, top);
+                    if *negated {
+                        r = cnot(r);
+                    }
+                    if r != Some(true) {
+                        return false;
+                    }
+                }
+                Instr::ProduceExt { srcs, outs, .. } | Instr::ProduceRec { srcs, outs } => {
+                    // The callee writes its tuple into a pooled vector,
+                    // not this frame, so its inputs can borrow the frame.
+                    let mut tuple = frames.take_argv();
+                    let mut refs = [&DUMMY_VALUE; MAX_PREMISE_ARITY];
+                    let len = fill_refs(&mut refs, frame, args, srcs);
+                    let refs = &refs[..len];
+                    let ok = match instr {
+                        Instr::ProduceExt { prod, .. } => self.vm_gen_ext::<METERED>(
+                            *prod, meter, frames, top, refs, rng, &mut tuple,
+                        ),
+                        _ => self.vm_gen::<METERED>(
+                            prog, meter, frames, size_rem, top, refs, rng, &mut tuple,
+                        ),
+                    };
+                    for (&o, v) in outs.iter().zip(tuple.drain(..)) {
+                        frame[o as usize] = v;
+                    }
+                    frames.put_argv(tuple);
+                    if !ok {
+                        return false;
+                    }
+                }
+                Instr::Unconstrained { ty, dst, .. } => {
+                    frame[*dst as usize] = random_value(self.universe(), ty, size_rem.max(1), rng);
+                }
+                Instr::Yield { srcs } => {
+                    out.extend(srcs.iter().map(|&s| read(frame, args, s).clone()));
+                    return true;
+                }
+                _ => {
+                    if let Err(site) = self.vm_simple(instr, frame, args, frames) {
+                        if METERED {
+                            self.vm_unify_fail(prog.rel, h_idx, site);
+                        }
+                        return false;
+                    }
+                }
+            }
+        }
+        unreachable!("producer handlers end in Yield")
+    }
+
+    /// An external generator premise: a compiled callee runs on these
+    /// frame pools (charging its own entry step), followed by the boundary's
+    /// `TermProduced`; a handwritten or uncompiled one runs through
+    /// [`Library::generate`], which does both itself.
+    #[allow(clippy::too_many_arguments)]
+    fn vm_gen_ext<const METERED: bool>(
+        &self,
+        prod: u32,
+        meter: &Option<Meter>,
+        frames: &mut VmFrames,
+        top: u64,
+        inputs: &[&Value],
+        rng: &mut dyn rand::RngCore,
+        out: &mut Vec<Value>,
+    ) -> bool {
+        let p = &self.inner.producers[prod as usize];
+        let (None, Some(prog)) = (&p.hand_gen, &p.vm) else {
+            let mut vals = frames.take_argv();
+            vals.extend(inputs.iter().map(|&v| v.clone()));
+            let r = self.generate(p.rel, &p.mode, top, top, &vals, rng);
+            frames.put_argv(vals);
+            return match r {
+                Some(tuple) => {
+                    out.extend(tuple);
+                    true
+                }
+                None => false,
+            };
+        };
+        let ok = self.vm_gen::<METERED>(prog, meter, frames, top, top, inputs, rng, out);
+        if METERED && ok {
+            self.probe(|| Event::TermProduced {
+                rel: p.rel,
+                size: out.iter().map(Value::size).sum(),
+            });
+        }
+        ok
     }
 }
 

@@ -12,6 +12,7 @@
 //! | `parse_roundtrip`          | parsed program         | reparse of pretty-printout  |
 //! | `interp_vs_lowered`        | plan interpreter       | bytecode VM                 |
 //! | `interp_vs_compiled`       | budgeted VM + stats    | budgeted interp + stats     |
+//! |                            | VM generators          | interpreted generators      |
 //! | `checker_vs_reference`     | derived checker        | `indrel-semantics` search   |
 //! | `enumerator_vs_checker`    | enumerator outcome set | checker-filtered domain     |
 //! | `probe_parity`             | probe-armed checker    | unarmed checker             |
@@ -38,6 +39,8 @@ use indrel_rel::{Premise, RelEnv};
 use indrel_term::enumerate::tuples_up_to;
 use indrel_term::{RelId, TypeExpr, Universe, Value};
 use indrel_validate::{ValidationParams, Validator};
+use rand::rngs::SmallRng;
+use rand::{RngCore as _, SeedableRng as _};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -53,7 +56,8 @@ pub enum Oracle {
     /// The bytecode VM agrees with the plan interpreter *as a budgeted
     /// `Result`* (same verdicts, same budget cut-offs), and the two
     /// aggregate the same [`dispatch_invariant_stats`] — the
-    /// budget-parity contract of the compiled backend.
+    /// budget-parity contract of the compiled backend. Compiled
+    /// generators must also draw what the interpreted ones draw.
     InterpVsCompiled,
     /// The derived checker agrees with the bounded reference proof
     /// search of `indrel-semantics` (via [`Validator::checker_case`]).
@@ -530,6 +534,42 @@ fn interp_vs_compiled(
                 if let Err(e) = compiled {
                     if !is_cutoff(&e) {
                         return OracleOutcome::Violation(format!("compiled checker: {e}"));
+                    }
+                }
+            }
+        }
+    }
+    // Compiled generators against the interpreted reference, on the
+    // same probe-armed sessions: at equal seeds both must draw the same
+    // values, so the `Result`, the outputs, and the generator's state
+    // afterwards agree at every fuel and budget. (Compiled enumerators
+    // are covered above, behind the checkers' existential premises.)
+    for &rel in rels {
+        let arity = env.relation(rel).arity();
+        let mode = Mode::producer(arity, &(0..arity).collect::<Vec<_>>());
+        for fuel in [0, params.max_fuel / 2, params.max_fuel] {
+            for steps in [params.budget_steps, params.call_steps] {
+                for seed in 0..4 {
+                    let budget = Budget::unlimited().with_steps(steps);
+                    let (mut vm_rng, mut interp_rng) =
+                        (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
+                    let compiled =
+                        vm.try_generate(rel, &mode, fuel, fuel, &[], &mut vm_rng, budget);
+                    let interpreted = interp.try_generate_interpreted(
+                        rel,
+                        &mode,
+                        fuel,
+                        fuel,
+                        &[],
+                        &mut interp_rng,
+                        budget,
+                    );
+                    if compiled != interpreted || vm_rng.next_u64() != interp_rng.next_u64() {
+                        return OracleOutcome::Violation(format!(
+                            "{} generator at fuel {fuel}, {steps} steps, seed {seed}: compiled \
+                             {compiled:?} vs interpreted {interpreted:?}",
+                            env.relation(rel).name(),
+                        ));
                     }
                 }
             }

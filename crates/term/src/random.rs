@@ -29,53 +29,62 @@ pub fn random_value(
         TypeExpr::Param(_) => panic!("cannot generate a non-ground type"),
         TypeExpr::App(dt, ty_args) => {
             let decl = universe.datatype(*dt);
-            let base: Vec<_> = decl
+            let nbase = decl
                 .ctors()
                 .iter()
-                .copied()
-                .filter(|&c| universe.ctor(c).is_base())
-                .collect();
-            let recursive: Vec<_> = decl
-                .ctors()
-                .iter()
-                .copied()
-                .filter(|&c| !universe.ctor(c).is_base())
-                .collect();
+                .filter(|&&c| universe.ctor(c).is_base())
+                .count() as u64;
+            let nrec = decl.ctors().len() as u64 - nbase;
             assert!(
-                !base.is_empty(),
+                nbase > 0,
                 "datatype `{}` has no base constructor",
                 decl.name()
             );
-            let ctor = if size == 0 || recursive.is_empty() {
-                base[rng.gen_range(0..base.len())]
+            // The `k`-th base (or recursive) constructor in declaration
+            // order, found by counting rather than collecting.
+            let nth = |base: bool, k: u64| {
+                decl.ctors()
+                    .iter()
+                    .copied()
+                    .filter(|&c| universe.ctor(c).is_base() == base)
+                    .nth(k as usize)
+                    .expect("index below the partition's count")
+            };
+            let ctor = if size == 0 || nrec == 0 {
+                nth(true, rng.gen_range(0..nbase as usize) as u64)
             } else {
                 // Weight: each base constructor 1, each recursive
                 // constructor `size`.
-                let total = base.len() as u64 + recursive.len() as u64 * size;
-                let mut pick = rng.gen_range(0..total);
-                if pick < base.len() as u64 {
-                    base[pick as usize]
+                let pick = rng.gen_range(0..nbase + nrec * size);
+                if pick < nbase {
+                    nth(true, pick)
                 } else {
-                    pick -= base.len() as u64;
-                    recursive[(pick / size) as usize]
+                    nth(false, (pick - nbase) / size)
                 }
             };
-            let arg_tys = universe.ctor_arg_types(ctor, ty_args);
-            let nrec = arg_tys
+            let decl_args = universe.ctor(ctor).arg_types();
+            let nrec_args = decl_args
                 .iter()
-                .filter(|t| mentions_dt(t, *dt))
+                .filter(|t| mentions_dt(t, *dt, ty_args))
                 .count()
                 .max(1) as u64;
-            let child_budget = size.saturating_sub(1) / nrec;
-            let args = arg_tys
+            let child_budget = size.saturating_sub(1) / nrec_args;
+            let args = decl_args
                 .iter()
                 .map(|t| {
-                    let budget = if mentions_dt(t, *dt) {
+                    let budget = if mentions_dt(t, *dt, ty_args) {
                         child_budget
                     } else {
                         size.saturating_sub(1)
                     };
-                    random_value(universe, t, budget, rng)
+                    // A monomorphic datatype's declared argument types
+                    // are already ground; only a parametric one
+                    // instantiates them.
+                    if ty_args.is_empty() {
+                        random_value(universe, t, budget, rng)
+                    } else {
+                        random_value(universe, &t.instantiate(ty_args), budget, rng)
+                    }
                 })
                 .collect();
             Value::ctor(ctor, args)
@@ -83,10 +92,15 @@ pub fn random_value(
     }
 }
 
-fn mentions_dt(ty: &TypeExpr, dt: crate::ids::DtId) -> bool {
+/// Whether the declared type `ty`, instantiated with `ty_args`,
+/// mentions `dt` — answered without building the instantiation.
+fn mentions_dt(ty: &TypeExpr, dt: crate::ids::DtId, ty_args: &[TypeExpr]) -> bool {
     match ty {
-        TypeExpr::Nat | TypeExpr::Bool | TypeExpr::Param(_) => false,
-        TypeExpr::App(d, args) => *d == dt || args.iter().any(|t| mentions_dt(t, dt)),
+        TypeExpr::Nat | TypeExpr::Bool => false,
+        TypeExpr::Param(i) => ty_args
+            .get(*i as usize)
+            .is_some_and(|t| mentions_dt(t, dt, &[])),
+        TypeExpr::App(d, args) => *d == dt || args.iter().any(|t| mentions_dt(t, dt, ty_args)),
     }
 }
 
@@ -165,5 +179,68 @@ mod tests {
         let va = random_value(&u, &TypeExpr::Nat, 100, &mut a);
         let vb = random_value(&u, &TypeExpr::Nat, 100, &mut b);
         assert_eq!(va, vb);
+    }
+
+    /// `(first value, rendered length, FNV-1a of the rendering)` of the
+    /// first 64 values at seed 2022.
+    const PIN_NAT: (&str, usize, u64) = ("6", 130, 12147972752422314843);
+    const PIN_LIST: (&str, usize, u64) = (
+        "cons 1 (cons 1 (cons 1 (cons 1 (cons 1 nil))))",
+        1569,
+        17510303449595667180,
+    );
+    const PIN_TREE: (&str, usize, u64) =
+        ("Node 3 (Node 0 Leaf Leaf) Leaf", 1831, 12770046833209939370);
+    const PIN_TY: (&str, usize, u64) = (
+        "TArrow (TArrow TN TN) (TArrow TN TN)",
+        1419,
+        8679994878041454682,
+    );
+
+    /// FNV-1a over the rendered values: a compact pin for long outputs.
+    fn fnv(s: &str) -> u64 {
+        s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// The first 64 values at a fixed seed, for `nat`, `list nat`, a
+    /// binary tree and STLC's `ty`, recorded before `random_value`
+    /// stopped collecting constructor partitions: the draws (and so
+    /// every derived generator's `arbitrary` premise) must not move.
+    #[test]
+    fn first_values_are_pinned() {
+        let mut u = Universe::new();
+        let list = u.std_list();
+        let node = vec![
+            TypeExpr::Nat,
+            TypeExpr::named("tree"),
+            TypeExpr::named("tree"),
+        ];
+        let tree = u
+            .declare_datatype("tree", 0, &[("Leaf", vec![]), ("Node", node)])
+            .unwrap();
+        let arrow = vec![TypeExpr::named("ty"), TypeExpr::named("ty")];
+        let ty = u
+            .declare_datatype("ty", 0, &[("TN", vec![]), ("TArrow", arrow)])
+            .unwrap();
+        let cases = [
+            (TypeExpr::Nat, 10u64, PIN_NAT),
+            (TypeExpr::App(list, vec![TypeExpr::Nat]), 6, PIN_LIST),
+            (TypeExpr::datatype(tree), 5, PIN_TREE),
+            (TypeExpr::datatype(ty), 3, PIN_TY),
+        ];
+        for (t, size, (first, len, hash)) in cases {
+            let mut rng = SmallRng::seed_from_u64(2022);
+            let vals: Vec<String> = (0..64)
+                .map(|_| {
+                    u.display_value(&random_value(&u, &t, size, &mut rng))
+                        .to_string()
+                })
+                .collect();
+            let joined = vals.join(";");
+            assert_eq!(vals[0], first, "{t:?}");
+            assert_eq!((joined.len(), fnv(&joined)), (len, hash), "{t:?}: {joined}");
+        }
     }
 }

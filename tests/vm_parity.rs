@@ -9,7 +9,12 @@
 //! observe. These tests pin that contract on the three paper case
 //! studies — BST, STLC typing, and IFC indistinguishability — plus a
 //! relation too wide to compile, whose fallback must still pass through
-//! the budget, tabling, and serving layers.
+//! the budget, tabling, and serving layers. Derived producers compile
+//! to the same bytecode: compiled generators must draw exactly what the
+//! interpreted ones draw ([`Library::try_generate_interpreted`]), and
+//! the push enumerators behind compiled checkers' existential premises
+//! must force no more of the enumeration than the interpreter's lazy
+//! streams.
 
 use indrel::bst::Bst;
 use indrel::fuzz::oracles::dispatch_invariant_stats;
@@ -17,7 +22,7 @@ use indrel::ifc::Ifc;
 use indrel::prelude::*;
 use indrel::stlc::Stlc;
 use rand::rngs::SmallRng;
-use rand::{Rng as _, SeedableRng};
+use rand::{Rng as _, RngCore as _, SeedableRng};
 
 /// Budget ladder for `Result`-level parity: tight enough that early
 /// rungs exhaust mid-search, generous enough that the top rung decides.
@@ -366,4 +371,238 @@ fn uncompiled_relation_falls_back_to_the_interpreter() {
     }
     assert!(memo.memo_stats().hits > 0, "{:?}", memo.memo_stats());
     assert!(server.stats().hits > 0, "{:?}", server.stats());
+}
+
+/// Asserts the compiled generator ([`Library::generate`] and
+/// [`Library::try_generate`]) and the interpreted one agree at seeds
+/// `0..256`: equal outputs, equal `Result`s on every rung of the step
+/// ladder, and an equal generator state afterwards (the same draws).
+/// Returns how many seeds produced an output.
+fn assert_generator_parity(
+    lib: &Library,
+    rel: RelId,
+    mode: &Mode,
+    size: u64,
+    inputs: &[Value],
+) -> usize {
+    let mut produced = 0;
+    for seed in 0..256 {
+        let rngs = || (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
+        let (mut vm_rng, mut interp_rng) = rngs();
+        let vm = lib.generate(rel, mode, size, size, inputs, &mut vm_rng);
+        let interp = lib.try_generate_interpreted(
+            rel,
+            mode,
+            size,
+            size,
+            inputs,
+            &mut interp_rng,
+            Budget::unlimited(),
+        );
+        assert_eq!(Ok(vm.clone()), interp, "seed {seed} on {inputs:?}");
+        assert_eq!(vm_rng.next_u64(), interp_rng.next_u64(), "seed {seed}");
+        produced += usize::from(vm.is_some());
+        for steps in STEP_LADDER {
+            let budget = Budget::unlimited().with_steps(steps);
+            let (mut vm_rng, mut interp_rng) = rngs();
+            assert_eq!(
+                lib.try_generate(rel, mode, size, size, inputs, &mut vm_rng, budget),
+                lib.try_generate_interpreted(
+                    rel,
+                    mode,
+                    size,
+                    size,
+                    inputs,
+                    &mut interp_rng,
+                    budget
+                ),
+                "steps {steps} seed {seed} on {inputs:?}"
+            );
+        }
+    }
+    // Probe events, too, in the same order: the full stats JSON of a
+    // compiled sweep equals the interpreted sweep's byte for byte
+    // (producers dispatch linearly, so nothing differs by design).
+    let sweep = |interpreted: bool| {
+        let session = lib.fork();
+        let stats = SearchStats::new();
+        let _p = session.arm_probe(ExecProbe::stats(&stats));
+        for seed in 0..256 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let budget = Budget::unlimited();
+            let _ = if interpreted {
+                session.try_generate_interpreted(rel, mode, size, size, inputs, &mut rng, budget)
+            } else {
+                session.try_generate(rel, mode, size, size, inputs, &mut rng, budget)
+            };
+        }
+        stats.to_json()
+    };
+    assert_eq!(sweep(false), sweep(true), "generator stats on {inputs:?}");
+    produced
+}
+
+#[test]
+fn bst_generator_vm_matches_interpreter() {
+    let bst = Bst::new();
+    let lib = bst.library();
+    let mode = bst.tree_mode();
+    for (lo, hi, size) in [(0, 16, 6), (0, 24, 6), (3, 4, 3), (5, 2, 4)] {
+        let inputs = [Value::nat(lo), Value::nat(hi)];
+        let produced = assert_generator_parity(lib, bst.relation(), &mode, size, &inputs);
+        if lo < hi {
+            assert!(produced > 0, "bst {lo} {hi} should generate trees");
+        }
+    }
+}
+
+#[test]
+fn stlc_generator_vm_matches_interpreter() {
+    let stlc = Stlc::new();
+    let lib = stlc.library();
+    let mode = stlc.term_mode();
+    let mut rng = SmallRng::seed_from_u64(17);
+    let mut produced = 0;
+    for _ in 0..6 {
+        let ty = stlc.random_ty(2, &mut rng);
+        let inputs = [stlc.ctx(&[]), ty];
+        produced += assert_generator_parity(lib, stlc.typing_relation(), &mode, 4, &inputs);
+    }
+    assert!(produced > 0, "the STLC generator should produce terms");
+}
+
+/// Every derived producer of the three case studies compiles: a silent
+/// fallback would leave the producer half of the parity tests running
+/// the interpreter against itself.
+#[test]
+fn case_study_producers_compile() {
+    let libs = [
+        Bst::new().library().clone(),
+        Stlc::new().library().clone(),
+        Ifc::new().library().clone(),
+    ];
+    for lib in &libs {
+        let mut producers = 0;
+        for (rel, _) in lib.env().iter() {
+            let explain = lib.explain(rel);
+            assert!(
+                !explain.contains("not compiled"),
+                "every derived instance should compile:\n{explain}"
+            );
+            let derived = explain.matches(") (derived):").count();
+            producers += derived;
+            // Each derived producer is followed by its bytecode listing.
+            let listings = explain
+                .split("producer ")
+                .skip(1)
+                .filter(|p| p.contains("(derived):") && p.contains("bytecode: "))
+                .count();
+            assert_eq!(listings, derived, "{explain}");
+        }
+        assert!(producers > 0, "the case study derives producers");
+    }
+}
+
+/// A compiled checker whose existential premise finds its witness in
+/// the first enumerated tuple stops the enumerator there: the later
+/// handlers (here `le_S`, whose recursive call would enter the
+/// enumerator again) are never forced — exactly as the interpreter's
+/// lazy stream leaves them unforced.
+#[test]
+fn compiled_checker_short_circuits_its_enumerator() {
+    let mut u = Universe::new();
+    let mut env = RelEnv::new();
+    parse_program(
+        &mut u,
+        &mut env,
+        r"
+        rel le : nat nat :=
+        | le_n : forall n, le n n
+        | le_S : forall n m, le n m -> le n (S m)
+        .
+        rel between : nat nat :=
+        | b : forall n m p, le n m -> le (S m) p -> between n p
+        .
+        ",
+    )
+    .unwrap();
+    let between = env.rel_id("between").unwrap();
+    let mut b = LibraryBuilder::new(u, env);
+    b.derive_checker(between).unwrap();
+    let lib = b.build();
+    assert!(lib.vm_compiled(between));
+    let enters = |interpreted: bool, args: &[Value]| {
+        let session = lib.fork();
+        let stats = SearchStats::new();
+        let _p = session.arm_probe(ExecProbe::stats(&stats));
+        let v = if interpreted {
+            session.check_interpreted(between, 8, 8, args)
+        } else {
+            session.check(between, 8, 8, args)
+        };
+        (v, stats.enters(indrel::core::ExecKind::Enumerator))
+    };
+    // `between 1 3`: the first witness, m = 1 from `le_n`, satisfies
+    // `le 2 3`; one enumerator entry, no recursion into `le_S`.
+    let first = [Value::nat(1), Value::nat(3)];
+    assert_eq!(enters(false, &first), (Some(true), 1));
+    assert_eq!(enters(false, &first), enters(true, &first));
+    // `between 3 1` has no witness: the whole enumeration runs, on both
+    // sides alike.
+    let none = [Value::nat(3), Value::nat(1)];
+    let (v, n) = enters(false, &none);
+    assert_ne!(v, Some(true));
+    assert!(n > 1, "a failing search enumerates past the first handler");
+    assert_eq!((v, n), enters(true, &none));
+}
+
+/// Budget parity through enumerators that emit out-of-fuel markers: an
+/// external enumerator boundary charges one step per element demanded,
+/// markers included, so a compiled checker whose existential premise
+/// enumerates near its fuel limit must hit every step budget exactly
+/// where the interpreter does.
+#[test]
+fn enumerator_boundary_charges_match_under_tight_budgets() {
+    let mut u = Universe::new();
+    let mut env = RelEnv::new();
+    parse_program(
+        &mut u,
+        &mut env,
+        r"
+        rel le : nat nat :=
+        | le_n : forall n, le n n
+        | le_S : forall n m, le n m -> le n (S m)
+        .
+        rel chain : nat :=
+        | c0 : chain 0
+        | cS : forall n, chain n -> chain (S n)
+        .
+        rel above : nat :=
+        | ab : forall n m, chain m -> le (S n) m -> above n
+        .
+        ",
+    )
+    .unwrap();
+    let above = env.rel_id("above").unwrap();
+    let mut b = LibraryBuilder::new(u, env);
+    b.derive_checker(above).unwrap();
+    let lib = b.build();
+    assert!(lib.vm_compiled(above));
+    let mut cut_offs = 0;
+    for n in 0..5u64 {
+        for fuel in [1u64, 2, 3, 5] {
+            let args = [Value::nat(n)];
+            for steps in 1..=120 {
+                let budget = Budget::unlimited().with_steps(steps);
+                let vm = lib.try_check(above, fuel, fuel, &args, budget);
+                assert_eq!(
+                    vm,
+                    lib.try_check_interpreted(above, fuel, fuel, &args, budget),
+                    "n {n} fuel {fuel} steps {steps}"
+                );
+                cut_offs += usize::from(vm.is_err());
+            }
+        }
+    }
+    assert!(cut_offs > 0, "the ladder should cut some searches off");
 }
